@@ -3,7 +3,7 @@
 PYTHON ?= python
 
 .PHONY: install test bench examples quicktest lint staticcheck \
-	staticcheck-interproc fuzz fuzz-smoke perfbench perfbench-pr8 \
+	staticcheck-interproc fuzz fuzz-smoke perfbench \
 	perfbench-compare replay-smoke obs-smoke obs-overhead chaos-smoke \
 	sweep sweep-smoke clean
 
@@ -72,18 +72,12 @@ fuzz-smoke:
 perfbench:
 	PYTHONPATH=src $(PYTHON) -m repro.perfbench --out BENCH_PR3.json
 
-# Both engines (access + trace replay); regenerates the committed
-# replay-era baseline. BENCH_PR3.json stays access-only on purpose so
-# the PR3 comparison keeps its original shape.
-perfbench-pr8:
-	PYTHONPATH=src $(PYTHON) -m repro.perfbench --engine access,replay --repeats 3 --out BENCH_PR8.json
-
 perfbench-compare:
 	PYTHONPATH=src $(PYTHON) -m repro.perfbench --out /tmp/perfbench-current.json --compare BENCH_PR3.json
 
 # Trace record/replay smoke (docs/performance.md, "Trace replay"):
-# record a fixed-seed perfbench cell, replay it through both engines,
-# and fail unless fingerprints and the recorded sim_ns all agree.
+# record a fixed-seed perfbench cell, replay it, and fail unless the
+# replay ends at the sim_ns the recording did.
 replay-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.replay record --workload store_heavy \
 		--backend pax --ops 4000 --records 800 --seed 7 --out /tmp/replay-smoke.trace

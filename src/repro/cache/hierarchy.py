@@ -35,8 +35,10 @@ from repro.util.constants import CACHE_LINE_SIZE
 from repro.util.fastpath import fast_path_enabled
 from repro.util.stats import StatGroup
 
-#: Offset-within-line mask, hoisted for the single-line fast path.
+#: Offset-within-line mask and log2(line size), hoisted for the
+#: single-line fast path.
 _LINE_MASK = CACHE_LINE_SIZE - 1
+_LINE_SHIFT = CACHE_LINE_SIZE.bit_length() - 1
 
 #: MESI states bound to module globals: the per-access walk compares
 #: against these a handful of times per event, and a global load is
@@ -173,8 +175,25 @@ class CacheHierarchy:
             offset = addr & _LINE_MASK
             if offset + size <= CACHE_LINE_SIZE:
                 # Single-line fast path: no generator, no join buffer.
-                line = self._access_line(core_id, addr - offset, False)
-                return line.read(offset, size)
+                line_addr = addr - offset
+                line = None
+                entry = self._dir_entries.get(line_addr)
+                if entry is not None and core_id in entry.states:
+                    # L1-hit shortcut: _hit_path's L1 branch inlined, in
+                    # its order (any valid state may load). The probe is
+                    # a peek, so an L1 miss leaves nothing to undo.
+                    l1 = self._cores[core_id].l1
+                    index = (line_addr >> _LINE_SHIFT) & l1._set_mask
+                    line = l1._sets[index].get(line_addr)
+                    if line is not None:
+                        l1._policies[index].on_access(line_addr)
+                        l1._c_hits.value += 1
+                        self._c_l1_hits.value += 1
+                        self._record_access(self._l1_ns)
+                        self._advance(self._l1_ns)
+                if line is None:
+                    line = self._access_line(core_id, line_addr, False)
+                return bytes(line.data[offset:offset + size])
         out = bytearray()
         for base, offset, length in split_lines(addr, size):
             line = self._access_line(core_id, base, exclusive=False)
@@ -190,8 +209,26 @@ class CacheHierarchy:
             offset = addr & _LINE_MASK
             if offset + size <= CACHE_LINE_SIZE:
                 base = addr - offset
-                line = self._access_line(core_id, base, True)
-                line.write(offset, data)
+                line = None
+                entry = self._dir_entries.get(base)
+                if entry is not None \
+                        and entry.states.get(core_id) == _MODIFIED:
+                    # The load's L1-hit shortcut, for a store that needs
+                    # no coherence transition: E->M and S->M stay with
+                    # _hit_path.
+                    l1 = self._cores[core_id].l1
+                    index = (base >> _LINE_SHIFT) & l1._set_mask
+                    line = l1._sets[index].get(base)
+                    if line is not None:
+                        l1._policies[index].on_access(base)
+                        l1._c_hits.value += 1
+                        self._c_l1_hits.value += 1
+                        self._record_access(self._l1_ns)
+                        self._advance(self._l1_ns)
+                if line is None:
+                    line = self._access_line(core_id, base, True)
+                line.data[offset:offset + size] = data
+                line.dirty = True
                 if self.tracer is not None:
                     self.tracer.on_store(base)
                 return

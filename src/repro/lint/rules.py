@@ -94,10 +94,7 @@ _HOT_PATH_METHODS = {
     "structures/hashmap.py": frozenset({
         "put", "get", "remove", "_bucket_addr"}),
     "baselines/base.py": frozenset({"put", "get", "remove"}),
-    # The replay interpreter exists to beat the per-access path on wall
-    # clock; a string-keyed stat lookup inside it defeats the point.
-    "replay/engine.py": frozenset({
-        "_replay_fast", "_replay_generic", "_step"}),
+    "replay/engine.py": frozenset({"_replay_generic", "_step"}),
     "replay/recorder.py": frozenset({"_emit"}),
 }
 

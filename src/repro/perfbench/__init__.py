@@ -157,9 +157,8 @@ def _drive(backend, workload, ops, records, seed):
 
 
 #: (workload, backend, ops, records, seed) -> (Trace, timed-phase sim_ns).
-#: Replay cells record once per configuration and replay many times; the
-#: cached Trace also memoizes its decoded fast-path columns, so sweeps
-#: pay the recording and decoding cost a single time.
+#: Replay cells record once per configuration and replay many times, so
+#: sweeps pay the recording cost a single time.
 _TRACE_CACHE = {}
 
 
@@ -199,10 +198,6 @@ def record_cell_trace(workload, backend_name, ops, records, seed,
     cached = (trace, timed_sim[0])
     _TRACE_CACHE[key] = cached
     return cached
-
-
-#: Backwards-compatible private alias (pre-sweep name).
-_record_cell_trace = record_cell_trace
 
 
 def _drive_replay(workload, backend_name, ops, records, seed,

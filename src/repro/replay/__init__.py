@@ -2,10 +2,11 @@
 
 Record a workload's event stream once at the machine seams, then replay
 it many times against freshly built backends without re-running the
-structure layer — with a fast columnar interpreter for the single-core
-PAX shape. Replay is proven byte-identical to the per-access path
-(``sim_ns``, stat counters, final pool bytes) by the golden-equivalence
-tests; the per-access path remains the executable spec.
+structure layer. Replay dispatches every event through the same seam
+methods the recorder wrapped, and is proven byte-identical to the
+per-access path (``sim_ns``, stat counters, final pool bytes) by the
+golden-equivalence tests; the per-access path remains the executable
+spec.
 
 Public API::
 
@@ -14,14 +15,13 @@ Public API::
     result = replay_trace(trace, fresh_backend)
 """
 
-from repro.replay.engine import (ReplayResult, fast_eligible,
-                                 replay_trace)
+from repro.replay.engine import ReplayResult, replay_trace
 from repro.replay.format import (MARK_TIMED, TRACE_MAGIC, TRACE_VERSION,
                                  Trace, load_trace, load_trace_bytes)
 from repro.replay.recorder import TraceRecorder, record
 
 __all__ = [
     "MARK_TIMED", "TRACE_MAGIC", "TRACE_VERSION", "Trace",
-    "TraceRecorder", "ReplayResult", "fast_eligible", "load_trace",
-    "load_trace_bytes", "record", "replay_trace",
+    "TraceRecorder", "ReplayResult", "load_trace", "load_trace_bytes",
+    "record", "replay_trace",
 ]

@@ -1,23 +1,20 @@
-"""CLI for trace record / replay / verification.
+"""CLI for trace record / inspection / verification.
 
 Examples::
 
     python -m repro.replay record --workload store_heavy --backend pax \
         --out pax.trace                         # capture one perfbench cell
     python -m repro.replay info pax.trace       # header + footer summary
-    python -m repro.replay replay pax.trace     # re-execute, print result
-    python -m repro.replay verify pax.trace     # fast vs generic vs footer
+    python -m repro.replay verify pax.trace     # replay, check the footer
 
 ``record`` drives a perfbench workload (perfbench-standard backend
 sizing) through the recorder; traces from other sources replay fine as
 long as the backend is built the same way it was recorded.
 
-``verify`` is the golden-equivalence check in CLI form: the trace is
-replayed onto two fresh backends — once forced through the generic
-(per-event dispatch) engine, once through the fast columnar engine when
-the backend shape is eligible — and the two machine-wide fingerprints
-are diffed key by key, then checked against the footer's recorded
-``sim_ns``. Exit status: 0 verified, 1 mismatch, 2 malformed trace.
+``verify`` replays the trace once onto a fresh backend of the kind its
+footer names and checks the replay's final simulated clock against the
+footer's recorded ``sim_ns_end``. Exit status: 0 verified, 1 mismatch,
+2 malformed trace.
 
 This package feeds simulation state, so it must stay deterministic: no
 wall-clock imports here (``replay_trace`` takes an injected stopwatch;
@@ -28,8 +25,7 @@ import argparse
 import sys
 
 from repro.errors import TraceFormatError, TraceUnsupportedError
-from repro.replay.engine import fast_eligible, replay_trace
-from repro.replay.equivalence import diff, fingerprint
+from repro.replay.engine import replay_trace
 from repro.replay.format import KIND_NAMES, load_trace
 
 
@@ -41,8 +37,8 @@ def _build_backend(name):
 
 
 def _cmd_record(args):
-    from repro.perfbench import _record_cell_trace
-    trace, timed_sim = _record_cell_trace(
+    from repro.perfbench import record_cell_trace
+    trace, timed_sim = record_cell_trace(
         args.workload, args.backend, args.ops, args.records, args.seed)
     size = trace.save(args.out)
     print("wrote %s: %d events, %d bytes, timed phase %d sim-ns"
@@ -69,49 +65,16 @@ def _cmd_info(args):
     return 0
 
 
-def _cmd_replay(args):
-    trace = load_trace(args.trace)
-    backend = _build_backend(trace.footer["backend"])
-    result = replay_trace(trace, backend, engine=args.engine)
-    print("engine:   %s" % result.engine)
-    print("events:   %d" % result.events)
-    print("sim_ns:   %d" % result.sim_ns)
-    expected = trace.footer.get("sim_ns_end")
-    if expected is not None and result.sim_ns != expected:
-        print("MISMATCH: footer recorded sim_ns_end %d" % expected,
-              file=sys.stderr)
-        return 1
-    return 0
-
-
 def _cmd_verify(args):
     trace = load_trace(args.trace)
-    name = trace.footer["backend"]
-    generic = _build_backend(name)
-    replay_trace(trace, generic, engine="generic")
-    golden = fingerprint(generic)
-    failures = 0
+    result = replay_trace(trace, _build_backend(trace.footer["backend"]))
     expected = trace.footer.get("sim_ns_end")
-    if expected is not None and golden.get("sim_ns") != expected:
-        print("MISMATCH: generic replay ended at %s sim-ns, footer "
-              "recorded %s" % (golden.get("sim_ns"), expected),
-              file=sys.stderr)
-        failures += 1
-    fast_backend = _build_backend(name)
-    if fast_eligible(fast_backend):
-        replay_trace(trace, fast_backend, engine="fast")
-        delta = diff(golden, fingerprint(fast_backend))
-        for key, a, b in delta:
-            print("MISMATCH: %s: generic=%r fast=%r" % (key, a, b),
-                  file=sys.stderr)
-        failures += len(delta)
-        engines = "generic+fast"
-    else:
-        engines = "generic"
-    if failures:
+    if expected is not None and result.sim_ns != expected:
+        print("MISMATCH: replay ended at %s sim-ns, footer recorded %s"
+              % (result.sim_ns, expected), file=sys.stderr)
         return 1
-    print("verified %s: %d events, %s engines agree, sim_ns %s"
-          % (args.trace, len(trace), engines, golden.get("sim_ns")))
+    print("verified %s: %d events, sim_ns %s"
+          % (args.trace, result.events, result.sim_ns))
     return 0
 
 
@@ -137,8 +100,7 @@ def main(argv=None):
     """Dispatch a replay subcommand; return a process exit code."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.replay",
-        description="Record, inspect, replay, and verify simulation "
-                    "traces.")
+        description="Record, inspect, and verify simulation traces.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     from repro.perfbench import (BACKENDS, DEFAULT_OPS, DEFAULT_RECORDS,
@@ -157,14 +119,8 @@ def main(argv=None):
     info.add_argument("trace")
     info.set_defaults(func=_cmd_info)
 
-    rep = sub.add_parser("replay", help="replay a trace once")
-    rep.add_argument("trace")
-    rep.add_argument("--engine", default="auto",
-                     choices=("auto", "fast", "generic"))
-    rep.set_defaults(func=_cmd_replay)
-
     ver = sub.add_parser("verify",
-                         help="replay through both engines and diff")
+                         help="replay once and check the footer's sim_ns")
     ver.add_argument("trace")
     ver.set_defaults(func=_cmd_verify)
 

@@ -2,8 +2,8 @@
 
 A trace is an event stream captured from a live backend (see
 :mod:`repro.replay.recorder`) stored as four parallel columns plus a
-payload heap — the struct-of-arrays layout the batched replay engine
-iterates without per-event object construction:
+payload heap — a struct-of-arrays layout that replay zips into events
+without per-event object construction:
 
 ========  ======  =====================================================
 column    dtype   meaning
@@ -26,10 +26,11 @@ time.
 
 import json
 import struct
+import sys
 import zlib
+from array import array
 
 from repro.errors import TraceFormatError
-from repro.replay._np import decode_column, encode_column
 
 #: File magic (8 bytes) and current format version.
 TRACE_MAGIC = b"RPXTRACE"
@@ -67,21 +68,38 @@ PAYLOAD_KINDS = frozenset((STORE, RAW_WRITE, WAL_APPEND, MARK))
 #: Mark code emitted by perfbench between preload and the timed phase.
 MARK_TIMED = 1
 
+#: True on little-endian hosts; the on-disk format is always little-endian.
+_LITTLE = sys.byteorder == "little"
+
+
+def encode_column(typecode, values):
+    """Encode ints as a little-endian column; ``typecode`` is an
+    ``array`` typecode ('B', 'I', or 'Q')."""
+    out = array(typecode, values)
+    if not _LITTLE:
+        out.byteswap()
+    return out.tobytes()
+
+
+def decode_column(typecode, buf):
+    """Decode a little-endian column into a list of Python ints."""
+    out = array(typecode)
+    out.frombytes(bytes(buf))
+    if not _LITTLE:
+        out.byteswap()
+    return out.tolist()
+
 
 class Trace:
     """A decoded trace: four int columns, a payload heap, and a footer."""
 
-    __slots__ = ("kinds", "aux", "addrs", "sizes", "payload", "footer",
-                 "_fast_columns")
+    __slots__ = ("kinds", "aux", "addrs", "sizes", "payload", "footer")
 
     def __init__(self, kinds, aux, addrs, sizes, payload, footer):
         self.kinds = kinds
         self.aux = aux
         self.addrs = addrs
         self.sizes = sizes
-        #: Derived per-event columns memoized by the fast replay engine
-        #: ("record once, replay many" amortizes the decode).
-        self._fast_columns = None
         self.payload = bytes(payload)
         self.footer = footer
 
@@ -141,7 +159,7 @@ class Trace:
         return len(blob)
 
 
-def load_trace_bytes(blob, use_numpy=None):
+def load_trace_bytes(blob):
     """Decode a serialized trace; raises :class:`TraceFormatError`."""
     if len(blob) < _HEADER.size + _CRC.size:
         raise TraceFormatError(
@@ -168,13 +186,13 @@ def load_trace_bytes(blob, use_numpy=None):
             "trace checksum mismatch (stored %08x, computed %08x)"
             % (crc, actual))
     cursor = _HEADER.size
-    kinds = decode_column("B", blob[cursor:cursor + count], use_numpy)
+    kinds = decode_column("B", blob[cursor:cursor + count])
     cursor += count
-    aux = decode_column("Q", blob[cursor:cursor + 8 * count], use_numpy)
+    aux = decode_column("Q", blob[cursor:cursor + 8 * count])
     cursor += 8 * count
-    addrs = decode_column("Q", blob[cursor:cursor + 8 * count], use_numpy)
+    addrs = decode_column("Q", blob[cursor:cursor + 8 * count])
     cursor += 8 * count
-    sizes = decode_column("I", blob[cursor:cursor + 4 * count], use_numpy)
+    sizes = decode_column("I", blob[cursor:cursor + 4 * count])
     cursor += 4 * count
     payload = blob[cursor:cursor + payload_len]
     cursor += payload_len
@@ -185,11 +203,11 @@ def load_trace_bytes(blob, use_numpy=None):
     return Trace(kinds, aux, addrs, sizes, payload, footer)
 
 
-def load_trace(path, use_numpy=None):
+def load_trace(path):
     """Read and decode the trace at ``path``."""
     try:
         with open(path, "rb") as handle:
             blob = handle.read()
     except OSError as exc:
         raise TraceFormatError("cannot read trace %s: %s" % (path, exc))
-    return load_trace_bytes(blob, use_numpy)
+    return load_trace_bytes(blob)

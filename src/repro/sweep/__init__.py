@@ -11,9 +11,9 @@ point, using the record-once / replay-many strategy:
    stream depends on structure logic and data values, not on cache
    geometry or mechanisms, so one recording serves every variant.
 2. Every cell replays that trace against a backend built with the cell's
-   variant configuration (:func:`repro.replay.replay_trace`, generic
-   engine for mechanized configs). The hierarchy and device below the
-   seams re-simulate, so each cell's ``sim_ns`` reflects its own config.
+   variant configuration (:func:`repro.replay.replay_trace`). The
+   hierarchy and device below the seams re-simulate, so each cell's
+   ``sim_ns`` reflects its own config.
 3. ``spot_check`` cells are additionally re-run through the per-access
    engine on an identically configured backend and compared with
    :func:`repro.replay.equivalence.fingerprint` — replay must be
@@ -171,7 +171,7 @@ def run_sweep(spec, progress=None):
         outcome = replay_trace(trace, backend)
         row = dict(cell)
         row["variant"] = variant_id(cell)
-        row["engine"] = outcome.engine
+        row["engine"] = "generic"
         row["sim_ns"] = outcome.sim_ns
         row["sim_ns_timed"] = outcome.sim_ns_timed
         row["counters"] = _cell_counters(backend)

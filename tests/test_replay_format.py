@@ -8,7 +8,6 @@ from repro.errors import TraceFormatError
 from repro.perfbench import build_backend
 from repro.replay import (TRACE_MAGIC, TRACE_VERSION, Trace,
                           load_trace, load_trace_bytes, record)
-from repro.replay import _np
 from repro.replay import format as fmt
 from repro.sim.rng import DeterministicRng
 
@@ -136,32 +135,7 @@ class TestDeterminism:
 
 
 class TestNumpyFallback:
-    def test_fallback_decode_matches(self):
-        # The pure-python decode path must agree with whatever the
-        # autodetected path produces (numpy when installed).
-        blob = _recorded_bytes()
-        auto = load_trace_bytes(blob)
-        fallback = load_trace_bytes(blob, use_numpy=False)
-        assert list(auto.kinds) == list(fallback.kinds)
-        assert list(auto.aux) == list(fallback.aux)
-        assert list(auto.addrs) == list(fallback.addrs)
-        assert list(auto.sizes) == list(fallback.sizes)
-        assert auto.payload == fallback.payload
-        assert auto.footer == fallback.footer
-
-    @pytest.mark.skipif(not _np.HAVE_NUMPY, reason="numpy not installed")
-    def test_numpy_decode_matches_fallback(self):
-        blob = _recorded_bytes()
-        vec = load_trace_bytes(blob, use_numpy=True)
-        ref = load_trace_bytes(blob, use_numpy=False)
-        assert list(vec.kinds) == list(ref.kinds)
-        assert list(vec.aux) == list(ref.aux)
-        assert list(vec.addrs) == list(ref.addrs)
-        assert list(vec.sizes) == list(ref.sizes)
-
     def test_column_codec_round_trip(self):
         values = [0, 1, 255, 2 ** 32 - 1, 2 ** 63]
-        blob = _np.encode_column("Q", values)
-        assert _np.decode_column("Q", blob, use_numpy=False) == values
-        if _np.HAVE_NUMPY:
-            assert _np.decode_column("Q", blob, use_numpy=True) == values
+        blob = fmt.encode_column("Q", values)
+        assert fmt.decode_column("Q", blob) == values

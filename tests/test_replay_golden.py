@@ -10,13 +10,13 @@ acceptance criterion; anything else names exactly which quantity moved.
 
 import pytest
 
-from repro.errors import TraceUnsupportedError
+from repro.errors import TraceError, TraceUnsupportedError
 from repro.perfbench import BACKENDS, build_backend
-from repro.replay import fast_eligible, load_trace_bytes, record, \
-    replay_trace
+from repro.replay import load_trace_bytes, record, replay_trace
 from repro.replay import format as fmt
 from repro.replay.equivalence import diff, fingerprint
 from repro.sim.rng import DeterministicRng
+from repro.util.fastpath import SLOW_PATH_ENV
 
 
 def _drive(live, recorder=None, ops=300, records=32, seed=11):
@@ -54,29 +54,16 @@ def test_replay_matches_per_access(name):
 
 
 @pytest.mark.parametrize("name", BACKENDS)
-def test_generic_engine_matches_per_access(name):
+def test_generic_engine_matches_per_access(monkeypatch, name):
+    # Replay onto a backend whose hierarchy takes the generic spec walk
+    # (no L1-hit shortcut) must still match the fast per-access run.
+    monkeypatch.setenv(SLOW_PATH_ENV, "0")
     golden, trace = _record_golden(name)
+    monkeypatch.setenv(SLOW_PATH_ENV, "1")
     fresh = build_backend(name)
-    result = replay_trace(trace, fresh, engine="generic")
-    assert result.engine == "generic"
+    result = replay_trace(trace, fresh)
     assert diff(fingerprint(golden), fingerprint(fresh)) == []
-
-
-def test_fast_engine_used_for_pax():
-    golden, trace = _record_golden("pax")
-    assert fast_eligible(build_backend("pax"))
-    fresh = build_backend("pax")
-    result = replay_trace(trace, fresh, engine="fast")
-    assert result.engine == "fast"
-    assert diff(fingerprint(golden), fingerprint(fresh)) == []
-
-
-def test_fast_and_generic_agree_with_each_other():
-    _golden, trace = _record_golden("pax")
-    a, b = build_backend("pax"), build_backend("pax")
-    replay_trace(trace, a, engine="fast")
-    replay_trace(trace, b, engine="generic")
-    assert diff(fingerprint(a), fingerprint(b)) == []
+    assert result.sim_ns == golden.machine.clock.now_ns
 
 
 def test_replay_from_serialized_bytes_matches():
@@ -119,3 +106,20 @@ def test_crash_cannot_be_recorded():
 
     with pytest.raises(TraceUnsupportedError):
         record(backend, drive)
+
+
+@pytest.mark.parametrize("recorded, target",
+                         [("pax", "dram"), ("pmdk", "pax"), ("pmdk", "dram")])
+def test_replay_onto_another_backend_is_refused(recorded, target):
+    _golden, trace = _record_golden(recorded)
+    with pytest.raises(TraceError, match="recorded on backend %r" % recorded):
+        replay_trace(trace, build_backend(target))
+
+
+def test_event_without_a_seam_names_its_kind():
+    # A footer naming the wrong backend gets past the name check; the
+    # first event the machine has no seam for must still fail typed.
+    _golden, trace = _record_golden("pmdk")
+    trace.footer["backend"] = "pax"
+    with pytest.raises(TraceError, match="raw_read event"):
+        replay_trace(trace, build_backend("pax"))
