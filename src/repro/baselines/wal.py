@@ -96,6 +96,10 @@ class Wal:
         #: Optional tracer told about appends and resets.
         self.tracer = None
         self.stats = StatGroup("wal")
+        # Per-transaction counters bound once (hot-path-stat-lookup rule).
+        self._c_appends = self.stats.counter("appends")
+        self._c_bytes = self.stats.counter("bytes")
+        self._c_resets = self.stats.counter("resets")
 
     @property
     def capacity_entries(self):
@@ -116,8 +120,8 @@ class Wal:
             self._space.write(
                 HEAP_PHYS_BASE + self._layout.wal_base + self.write_offset,
                 bytes(24))
-        self.stats.counter("appends").add(1)
-        self.stats.counter("bytes").add(ENTRY_SIZE)
+        self._c_appends.add(1)
+        self._c_bytes.add(ENTRY_SIZE)
         if self.tracer is not None:
             self.tracer.on_wal_append(tx_id, addr)
         # The NT store itself pipelines; ordering it before the following
@@ -130,7 +134,7 @@ class Wal:
         """Rewind after commit; poisons the first header like the pool log."""
         self._space.write(HEAP_PHYS_BASE + self._layout.wal_base, bytes(24))
         self.write_offset = 0
-        self.stats.counter("resets").add(1)
+        self._c_resets.add(1)
         if self.tracer is not None:
             self.tracer.on_wal_reset()
 

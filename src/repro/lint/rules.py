@@ -75,6 +75,7 @@ _HOT_PATH_METHODS = {
     "mem/layout.py": frozenset({"get", "set"}),
     "pm/device.py": frozenset({"write"}),
     "pm/log.py": frozenset({"append"}),
+    "pm/flush.py": frozenset({"clwb", "sfence"}),
     "sim/bandwidth.py": frozenset({"record", "submit"}),
     "sim/clock.py": frozenset({"advance"}),
     "cxl/link.py": frozenset({"send_h2d", "send_d2h"}),
@@ -94,7 +95,10 @@ _HOT_PATH_METHODS = {
     "structures/hashmap.py": frozenset({
         "put", "get", "remove", "_bucket_addr"}),
     "baselines/base.py": frozenset({"put", "get", "remove"}),
-    "replay/engine.py": frozenset({"_replay_generic", "_step"}),
+    # WAL appends and resets run once per transaction of the pmdk, redo,
+    # autopass and compiler backends.
+    "baselines/wal.py": frozenset({"append", "reset"}),
+    "replay/engine.py": frozenset({"_replay_generic", "_handlers"}),
     "replay/recorder.py": frozenset({"_emit"}),
 }
 

@@ -22,6 +22,9 @@ class FlushModel:
         #: Optional tracer told about flushes and fences (WalSan).
         self.tracer = None
         self.stats = StatGroup("flush")
+        # Per-flush counters bound once (hot-path-stat-lookup rule).
+        self._c_clwb_lines = self.stats.counter("clwb_lines")
+        self._c_sfences = self.stats.counter("sfences")
 
     def clwb(self, addr, length):
         """Write back every cache line covering ``[addr, addr+length)``.
@@ -33,7 +36,7 @@ class FlushModel:
         if not lines:
             return 0.0
         cost = len(lines) * self._lat.software.clwb_ns
-        self.stats.counter("clwb_lines").add(len(lines))
+        self._c_clwb_lines.add(len(lines))
         if self.tracer is not None:
             self.tracer.on_clwb(addr, len(lines))
         self._clock.advance(cost)
@@ -42,7 +45,7 @@ class FlushModel:
     def sfence(self):
         """Order prior write-backs; stall until they reach the ADR domain."""
         cost = self._lat.software.sfence_ns + self._lat.media.pm_write_ns
-        self.stats.counter("sfences").add(1)
+        self._c_sfences.add(1)
         if self.tracer is not None:
             self.tracer.on_fence()
         self._clock.advance(cost)

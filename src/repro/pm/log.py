@@ -46,6 +46,19 @@ ENTRY_SIZE = 96
 _PREFIX = struct.Struct("<IHHQQ")      # magic, len, pad, epoch, addr
 _CRC = struct.Struct("<I")
 _CRC_OFFSET = _PREFIX.size + CACHE_LINE_SIZE
+_TAIL = bytes(ENTRY_SIZE - _CRC_OFFSET - _CRC.size)
+_U64_LIMIT = 1 << 64
+
+#: Entries :func:`encode_entry` keeps before it empties its memo. Sized
+#: from ``specs/full-grid.toml``: its 80 cells encode 19,025 distinct
+#: entries in all.
+ENCODE_MEMO_CAP = 1 << 15
+
+# (epoch, addr, payload) -> encoded entry. Encoding is a pure function,
+# and record-once/replay-many sweeps encode the same entries in every
+# cell that replays a trace. No lock: logical threads run one at a time,
+# and a lost insert or an extra clear only costs a recomputation.
+_ENCODED = {}
 
 
 class UndoEntry:
@@ -64,17 +77,37 @@ class UndoEntry:
             self.epoch, self.addr, self.offset)
 
 
+def _pack_entry(epoch, addr, data):
+    """The entry for already-validated fields, computed afresh."""
+    body = (_PREFIX.pack(ENTRY_MAGIC, len(data), 0, epoch, addr)
+            + data.ljust(CACHE_LINE_SIZE, b"\x00"))
+    return body + _CRC.pack(crc32c(body)) + _TAIL
+
+
 def encode_entry(epoch, addr, data):
-    """Serialize one entry; ``data`` is the old line contents (<= 64 B)."""
+    """Serialize one entry; ``data`` is the old line contents (<= 64 B).
+
+    ``epoch`` and ``addr`` must be integers in ``0..2**64-1``. Results
+    are memoized (up to :data:`ENCODE_MEMO_CAP` entries); the arguments
+    are validated on every call, before the memo is consulted.
+    """
     data = bytes(data)
     if not 1 <= len(data) <= CACHE_LINE_SIZE:
         raise LogError("undo payload must be 1..64 bytes, got %d" % len(data))
+    if not isinstance(epoch, int) or not 0 <= epoch < _U64_LIMIT:
+        raise LogError("undo entry epoch must be a u64, got %r" % (epoch,))
+    if not isinstance(addr, int) or not 0 <= addr < _U64_LIMIT:
+        raise LogError("undo entry address must be a u64, got %r" % (addr,))
     if not is_aligned(addr, CACHE_LINE_SIZE):
         raise LogError("undo entries target line-aligned addresses")
-    payload = data.ljust(CACHE_LINE_SIZE, b"\x00")
-    prefix = _PREFIX.pack(ENTRY_MAGIC, len(data), 0, epoch, addr)
-    body = prefix + payload
-    return body + _CRC.pack(crc32c(body)) + b"\x00" * (ENTRY_SIZE - _CRC_OFFSET - 4)
+    key = (epoch, addr, data)
+    blob = _ENCODED.get(key)
+    if blob is None:
+        blob = _pack_entry(epoch, addr, data)
+        if len(_ENCODED) >= ENCODE_MEMO_CAP:
+            _ENCODED.clear()
+        _ENCODED[key] = blob
+    return blob
 
 
 #: Per-slot verdicts from :func:`classify_entry`.

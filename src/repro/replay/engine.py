@@ -55,54 +55,36 @@ def _seam(owner, name, kind):
     return missing
 
 
-class _Seams:
-    """Bound replay entry points on a fresh backend."""
-
-    __slots__ = ("load", "store", "wbl", "persist", "space_read",
-                 "space_write", "clwb", "sfence", "wal_append", "wal_reset")
-
-    def __init__(self, backend):
-        machine = backend.machine
-        hier = machine.hierarchy
-        self.load = hier.load
-        self.store = hier.store
-        self.wbl = hier.writeback_line
-        self.persist = _seam(machine, "persist", fmt.PERSIST)
-        space = getattr(machine, "space", None)
-        self.space_read = _seam(space, "read", fmt.RAW_READ)
-        self.space_write = _seam(space, "write", fmt.RAW_WRITE)
-        flush = getattr(backend, "_flush", None)
-        self.clwb = _seam(flush, "clwb", fmt.CLWB)
-        self.sfence = _seam(flush, "sfence", fmt.SFENCE)
-        wal = getattr(backend, "_wal", None)
-        self.wal_append = _seam(wal, "append", fmt.WAL_APPEND)
-        self.wal_reset = _seam(wal, "reset", fmt.WAL_RESET)
-
-
-def _step(seams, kind, aux, addr, size, payload):
-    """Re-issue one non-MARK event through the real seam methods."""
-    if kind == fmt.LOAD:
-        seams.load(aux, addr, size)
-    elif kind == fmt.STORE:
-        seams.store(aux, addr, payload)
-    elif kind == fmt.RAW_READ:
-        seams.space_read(addr, size)
-    elif kind == fmt.RAW_WRITE:
-        seams.space_write(addr, payload)
-    elif kind == fmt.CLWB:
-        seams.clwb(addr, size)
-    elif kind == fmt.SFENCE:
-        seams.sfence()
-    elif kind == fmt.WBL:
-        seams.wbl(addr)
-    elif kind == fmt.PERSIST:
-        seams.persist()
-    elif kind == fmt.WAL_APPEND:
-        seams.wal_append(aux >> 1, addr, payload, bool(aux & 1))
-    elif kind == fmt.WAL_RESET:
-        seams.wal_reset()
-    else:
-        raise TraceError("unknown trace event kind %d" % kind)
+def _handlers(backend):
+    """Kind -> ``handler(aux, addr, size, payload)`` for every kind but
+    MARK, each re-issuing its event through a seam of ``backend``."""
+    machine = backend.machine
+    hier = machine.hierarchy
+    load, store, wbl = hier.load, hier.store, hier.writeback_line
+    persist = _seam(machine, "persist", fmt.PERSIST)
+    space = getattr(machine, "space", None)
+    space_read = _seam(space, "read", fmt.RAW_READ)
+    space_write = _seam(space, "write", fmt.RAW_WRITE)
+    flush = getattr(backend, "_flush", None)
+    clwb = _seam(flush, "clwb", fmt.CLWB)
+    sfence = _seam(flush, "sfence", fmt.SFENCE)
+    wal = getattr(backend, "_wal", None)
+    wal_append = _seam(wal, "append", fmt.WAL_APPEND)
+    wal_reset = _seam(wal, "reset", fmt.WAL_RESET)
+    # x, a, n, p: the event's aux, addr, size and payload columns.
+    return {
+        fmt.LOAD: lambda x, a, n, p: load(x, a, n),
+        fmt.STORE: lambda x, a, n, p: store(x, a, p),
+        fmt.RAW_READ: lambda x, a, n, p: space_read(a, n),
+        fmt.RAW_WRITE: lambda x, a, n, p: space_write(a, p),
+        fmt.CLWB: lambda x, a, n, p: clwb(a, n),
+        fmt.SFENCE: lambda x, a, n, p: sfence(),
+        fmt.WBL: lambda x, a, n, p: wbl(a),
+        fmt.PERSIST: lambda x, a, n, p: persist(),
+        fmt.WAL_APPEND: lambda x, a, n, p: wal_append(x >> 1, a, p,
+                                                      bool(x & 1)),
+        fmt.WAL_RESET: lambda x, a, n, p: wal_reset(),
+    }
 
 
 def replay_trace(trace, backend, stopwatch=None):
@@ -156,15 +138,18 @@ def _apply_footer(footer, backend):
 
 def _replay_generic(trace, backend, stopwatch):
     """Dispatch every event through the real seam methods."""
-    seams = _Seams(backend)
+    handler_for = _handlers(backend).get
     clock = backend.machine.clock
     marks = {}
     mark_walls = {}
     for kind, aux, addr, size, payload in trace.events():
-        if kind == fmt.MARK:
+        handler = handler_for(kind)
+        if handler is not None:
+            handler(aux, addr, size, payload)
+        elif kind == fmt.MARK:
             marks[aux] = clock.now_ns
             if stopwatch is not None:
                 mark_walls[aux] = stopwatch()
         else:
-            _step(seams, kind, aux, addr, size, payload)
+            raise TraceError("unknown trace event kind %d" % kind)
     return marks, mark_walls

@@ -91,9 +91,15 @@ def decode_column(typecode, buf):
 
 
 class Trace:
-    """A decoded trace: four int columns, a payload heap, and a footer."""
+    """A decoded trace: four int columns, a payload heap, and a footer.
 
-    __slots__ = ("kinds", "aux", "addrs", "sizes", "payload", "footer")
+    The payload heap is cut into per-event slices once, on first use, and
+    the slices are kept: sweeps replay one trace into many cells. Edits to
+    the columns after the first :meth:`events` call do not re-cut it.
+    """
+
+    __slots__ = ("kinds", "aux", "addrs", "sizes", "payload", "footer",
+                 "_slices")
 
     def __init__(self, kinds, aux, addrs, sizes, payload, footer):
         self.kinds = kinds
@@ -102,22 +108,28 @@ class Trace:
         self.sizes = sizes
         self.payload = bytes(payload)
         self.footer = footer
+        self._slices = None
 
     def __len__(self):
         return len(self.kinds)
 
     def payload_slices(self):
-        """Per-event payload bytes (None for kinds that carry none)."""
-        out = []
-        cursor = 0
-        payload = self.payload
-        for kind, size in zip(self.kinds, self.sizes):
-            if kind in PAYLOAD_KINDS:
-                out.append(payload[cursor:cursor + size])
-                cursor += size
-            else:
-                out.append(None)
-        return out
+        """Per-event payload bytes (None for kinds that carry none).
+
+        The list is the trace's own; callers must not modify it.
+        """
+        if self._slices is None:
+            out = []
+            cursor = 0
+            payload = self.payload
+            for kind, size in zip(self.kinds, self.sizes):
+                if kind in PAYLOAD_KINDS:
+                    out.append(payload[cursor:cursor + size])
+                    cursor += size
+                else:
+                    out.append(None)
+            self._slices = out
+        return self._slices
 
     def events(self):
         """Iterate ``(kind, aux, addr, size, payload_or_None)`` tuples."""

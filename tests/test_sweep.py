@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+import repro.perfbench as perfbench
 from repro.errors import ConfigError
+from repro.pm import log as pm_log
 from repro.sweep import (build_cell_backend, expand_grid, load_spec,
                          run_sweep, variant_id)
 from repro.sweep.report import (compare_sweeps, load_report, perfbench_view,
@@ -187,10 +189,16 @@ class TestRunSweep:
         assert verification["failed"] == 0
         assert all(cell["verified"] for cell in report["cells"])
 
-    def test_report_is_deterministic(self, tmp_path):
-        _spec, first = self.run_tiny(tmp_path)
-        _spec, again = self.run_tiny(tmp_path)
+    def test_report_is_deterministic(self, tmp_path, monkeypatch):
+        # The first run starts with no recorded traces and an empty log
+        # encoder memo; the second finds both warm. Neither may show.
+        monkeypatch.setattr(perfbench, "_TRACE_CACHE", {})
+        monkeypatch.setattr(pm_log, "_ENCODED", {})
+        _spec, first = self.run_tiny(tmp_path, backends=["pax", "pmdk"])
+        _spec, again = self.run_tiny(tmp_path, backends=["pax", "pmdk"])
         assert first == again
+        assert first["verification"]["passed"] == len(first["cells"]) == 4
+        assert first["verification"]["failed"] == 0
 
     def test_report_carries_no_wall_clock(self, tmp_path):
         _spec, report = self.run_tiny(tmp_path)
