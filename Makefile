@@ -3,7 +3,7 @@
 PYTHON ?= python
 
 .PHONY: install test bench examples quicktest lint staticcheck \
-	staticcheck-interproc fuzz fuzz-smoke perfbench \
+	fuzz fuzz-smoke perfbench \
 	perfbench-compare replay-smoke obs-smoke obs-overhead chaos-smoke \
 	sweep sweep-smoke clean
 
@@ -27,23 +27,7 @@ lint: staticcheck
 	PYTHONPATH=src $(PYTHON) -m repro.lint src/
 
 staticcheck:
-	PYTHONPATH=src $(PYTHON) -m repro.staticcheck --interprocedural src/repro
-
-# Incremental-cache drill: a cold whole-program run followed by a warm
-# one. The warm run must analyze zero modules and produce byte-identical
-# findings JSON, or the summary cache is broken.
-staticcheck-interproc:
-	rm -rf /tmp/staticcheck-cache-drill
-	PYTHONPATH=src $(PYTHON) -m repro.staticcheck --interprocedural \
-		--cache-dir /tmp/staticcheck-cache-drill --no-baseline \
-		--format json src/repro > /tmp/staticcheck-cold.json; \
-		test $$? -eq 1
-	PYTHONPATH=src $(PYTHON) -m repro.staticcheck --interprocedural \
-		--cache-dir /tmp/staticcheck-cache-drill --no-baseline \
-		--format json src/repro 2>/tmp/staticcheck-warm.log \
-		> /tmp/staticcheck-warm.json; test $$? -eq 1
-	grep -q "re-analyzed 0/" /tmp/staticcheck-warm.log
-	cmp /tmp/staticcheck-cold.json /tmp/staticcheck-warm.json
+	PYTHONPATH=src $(PYTHON) -m repro.staticcheck src/repro
 
 # Crash-consistency fuzzing (crash point x fault plan x structure); see
 # docs/faults.md. `fuzz` is the full seeded sweep, `fuzz-smoke` a fast

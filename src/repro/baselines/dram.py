@@ -6,7 +6,6 @@ curves and the bottom of the AMAT bars.
 """
 
 from repro.baselines.base import StructureBackend
-from repro.errors import RecoveryError
 from repro.libpax.allocator import PmAllocator
 from repro.libpax.machine import HostMachine
 
@@ -35,9 +34,3 @@ class DramBackend(StructureBackend):
         self._machine.restart()
         self._alloc = PmAllocator.create(self._mem, self._machine.heap_size)
         self._bind_structure(self._mem, self._alloc, capacity=self._capacity)
-
-    def verify_recovered(self, expected):
-        """DRAM never recovers anything; only an empty expectation passes."""
-        if expected:
-            raise RecoveryError("DRAM backend cannot recover data")
-        return True

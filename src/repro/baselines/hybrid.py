@@ -95,11 +95,6 @@ class HybridAccessor(MemoryAccessor):
         self.stats.counter("remap_sweeps").add(1)
         return remapped
 
-    @property
-    def vpm_pages(self):
-        """Pages currently routed through the device."""
-        return self._table.dirty_pages()
-
     # -- data path ----------------------------------------------------------------
 
     def read(self, addr, length):
@@ -201,14 +196,6 @@ class HybridBackend(StructureBackend):
     def fault_count(self):
         """Write faults taken (per written page per epoch)."""
         return self._mem.stats.get("write_faults")
-
-    @property
-    def direct_read_fraction(self):
-        """Share of page-chunk reads served by the direct path."""
-        direct = self._mem.stats.get("direct_reads")
-        vpm = self._mem.stats.get("vpm_reads")
-        total = direct + vpm
-        return direct / total if total else 0.0
 
     @property
     def log_bytes(self):

@@ -8,7 +8,6 @@ victim goes (next level, home, or nowhere).
 
 from dataclasses import dataclass
 
-from repro.cache.line import CacheLine
 from repro.cache.replacement import make_policy
 from repro.errors import ConfigError
 from repro.util.constants import CACHE_LINE_SIZE, is_power_of_two
@@ -132,8 +131,3 @@ class SetAssociativeCache:
     def __repr__(self):
         return "SetAssociativeCache(%s, %d/%d lines)" % (
             self.name, len(self), self.num_sets * self.ways)
-
-
-def make_line(line_addr, data, dirty=False):
-    """Convenience constructor matching :class:`CacheLine`."""
-    return CacheLine(line_addr, data, dirty)

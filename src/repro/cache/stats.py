@@ -59,13 +59,3 @@ class MissRates:
     def memory_access_fraction(self):
         """Fraction of all accesses serviced by a home (memory/device)."""
         return ratio(self.memory_fetches, self.accesses)
-
-    def as_dict(self):
-        """Flat dict for reports."""
-        return {
-            "accesses": self.accesses,
-            "l1_miss_rate": self.l1_miss_rate,
-            "l2_miss_rate": self.l2_miss_rate,
-            "llc_miss_rate": self.llc_miss_rate,
-            "memory_fraction": self.memory_access_fraction,
-        }

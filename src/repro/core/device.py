@@ -108,11 +108,6 @@ class PaxDevice:
         """Translate a pool-relative offset back to a vPM physical address."""
         return pool_addr - self.pool.data_base + self.vpm_base
 
-    @property
-    def vpm_size(self):
-        """Bytes of vPM exposed (the pool data region)."""
-        return self.pool.data_size
-
     # -- message handling ---------------------------------------------------------
 
     def handle_message(self, message):

@@ -53,16 +53,6 @@ class SnapshotTracker:
                    _first_difference(recovered, self.snapshot)))
         return True
 
-    def current_state(self):
-        """Snapshot plus pending (what a non-crashed reader should see)."""
-        state = dict(self.snapshot)
-        for key, value in self.pending.items():
-            if value is self._tombstone:
-                state.pop(key, None)
-            else:
-                state[key] = value
-        return state
-
 
 def _first_difference(got, want):
     for key in set(got) | set(want):

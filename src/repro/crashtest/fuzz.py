@@ -375,8 +375,8 @@ def record_witness_trace(path, seed=1234, ops=48):
     deliberately stops *without* a final ``persist()``, so the trace
     ends with unprotected PM stores — exactly the crash window the
     static persist-order findings warn about. Feeding the written file
-    to ``python -m repro.staticcheck --interprocedural --witness-trace``
-    upgrades the findings it reaches to ``confirmed``.
+    to ``python -m repro.staticcheck --witness-trace`` upgrades the
+    findings it reaches to ``confirmed``.
     """
     from repro.baselines.pax import make_backend
     from repro.replay.recorder import record

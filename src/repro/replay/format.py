@@ -136,15 +136,6 @@ class Trace:
         return zip(self.kinds, self.aux, self.addrs, self.sizes,
                    self.payload_slices())
 
-    def kind_counts(self):
-        """Event count per kind *name* (kinds absent from the trace are
-        omitted); unknown kind ids key by their decimal string."""
-        counts = {}
-        for kind in self.kinds:
-            counts[kind] = counts.get(kind, 0) + 1
-        return {KIND_NAMES.get(kind, str(kind)): count
-                for kind, count in counts.items()}
-
     def to_bytes(self):
         """Serialize; the inverse of :func:`load_trace_bytes`."""
         count = len(self.kinds)

@@ -70,11 +70,6 @@ class SloTracker:
     # -- verdicts ----------------------------------------------------------
 
     @property
-    def failed_requests(self):
-        """Requests that exhausted their retry budget."""
-        return self.gave_up.value
-
-    @property
     def error_budget_spent(self):
         """Fraction of admitted requests that ultimately failed."""
         return ratio(self.gave_up.value, self.admitted.value)

@@ -41,7 +41,6 @@ from repro.staticcheck.engine import (
     checker,
     main,
     run_paths,
-    run_paths_details,
 )
 from repro.staticcheck.baseline import Baseline, path_key, write_baseline
 from repro.staticcheck.cfg import CFG, build_cfg
@@ -76,7 +75,6 @@ __all__ = [
     "path_key",
     "postdominators",
     "run_paths",
-    "run_paths_details",
     "write_baseline",
 ]
 

@@ -118,37 +118,40 @@ class Baseline:
                 new.append(finding)
         return new, accepted
 
-    def dead_entries(self, findings, checked_keys):
-        """Entries whose file/rule no longer produces *any* finding.
+    def unused_entries(self, findings, checked_keys, rules):
+        """``(dead, stale)``: entries ``findings`` leave unfilled.
 
-        Unlike :meth:`stale_entries` (an oversized count, reported as a
-        note) a dead entry is a justification for nothing — the code it
-        excused was fixed or deleted — and accumulating them hides real
-        regressions, so the CLI fails on these. Only entries whose file
-        was actually checked this run (``path_key`` in ``checked_keys``)
-        are considered, so partial-tree invocations cannot false-alarm.
-        Returns ``[(path, rule), ...]`` sorted.
+        A *dead* entry's file/rule produces no finding at all any more:
+        it justifies nothing (the code it excused was fixed or deleted),
+        and accumulating them hides real regressions, so the CLI fails
+        on these. A *stale* entry's count merely exceeds the current
+        findings, a hint that the baseline can shrink. Only entries
+        whose file was checked (``path_key`` in ``checked_keys``) and
+        whose rule ran (in ``rules``) are considered, so partial-tree
+        and ``--select`` runs cannot misjudge the rest. Returns
+        ``([(path, rule), ...], [(path, rule, unused), ...])``, sorted.
         """
-        counts = {}
-        for finding in findings:
-            key = (path_key(finding.path), finding.rule_id)
-            counts[key] = counts.get(key, 0) + 1
-        return sorted(key for key in self.entries
-                      if key[0] in checked_keys and counts.get(key, 0) == 0)
-
-    def stale_entries(self, findings):
-        """Entries whose recorded count exceeds current findings — a sign
-        the baseline can shrink. Returns ``[(path, rule, unused), ...]``."""
-        counts = {}
-        for finding in findings:
-            key = (path_key(finding.path), finding.rule_id)
-            counts[key] = counts.get(key, 0) + 1
+        counts = _counts(findings)
+        dead = []
         stale = []
         for key, allowed in sorted(self.entries.items()):
-            unused = allowed - counts.get(key, 0)
-            if unused > 0:
-                stale.append((key[0], key[1], unused))
-        return stale
+            if key[0] not in checked_keys or key[1] not in rules:
+                continue
+            used = counts.get(key, 0)
+            if used == 0:
+                dead.append(key)
+            elif used < allowed:
+                stale.append((key[0], key[1], allowed - used))
+        return dead, stale
+
+
+def _counts(findings):
+    """``{(path_key, rule_id): count}`` over ``findings``."""
+    counts = {}
+    for finding in findings:
+        key = (path_key(finding.path), finding.rule_id)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
 
 
 def write_baseline(findings, path, notes=None):
@@ -157,10 +160,7 @@ def write_baseline(findings, path, notes=None):
     ``notes`` maps ``(path_key, rule_id)`` to a justification; entries
     without one get a TODO marker so the review catches them.
     """
-    counts = {}
-    for finding in findings:
-        key = (path_key(finding.path), finding.rule_id)
-        counts[key] = counts.get(key, 0) + 1
+    counts = _counts(findings)
     notes = notes or {}
     lines = [
         "# repro.staticcheck accepted-findings baseline.",

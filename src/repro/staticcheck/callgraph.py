@@ -306,13 +306,3 @@ class ProjectIndex:
                 return target.functions.get(callee[1])
             return None
         return module.functions.get(callee[1])
-
-    def call_edges(self):
-        """Iterate ``(caller_module, caller_func, callee_func)`` over every
-        resolvable edge — the module-level call graph."""
-        for module in self.modules.values():
-            for info in module.functions.values():
-                for callee in info.calls:
-                    resolved = self.resolve(module, callee)
-                    if resolved is not None:
-                        yield module, info, resolved

@@ -190,125 +190,57 @@ def check_source(path, source, project=None, selected=None, interproc=None):
     return findings
 
 
-def run_paths_details(paths, selected=None):
-    """Check every Python file under ``paths``.
-
-    Reads everything first to build the project index (the call graph
-    spans the whole run), then checks file by file. Returns
-    ``(findings, filenames)`` — the filenames scope baseline staleness
-    checks to what this run actually looked at.
-    """
+def _index(paths):
+    """Read every Python file under ``paths`` and index the whole run
+    (the call graph spans all of it). Returns ``(sources, project)``."""
     sources = []
     for filename in iter_python_files(paths):
         with open(filename, "r", encoding="utf-8") as handle:
             sources.append((filename, handle.read()))
-    project = ProjectIndex.build(sources)
+    return sources, ProjectIndex.build(sources)
+
+
+def run_paths(paths, selected=None):
+    """Per-function findings for every Python file under ``paths``.
+
+    The reference that :func:`run_interproc` findings are always a
+    subset of, and what :func:`~repro.staticcheck.fixer.fix_source`
+    plans its edits from.
+    """
+    sources, project = _index(paths)
     findings = []
     for filename, source in sources:
         findings.extend(check_source(filename, source, project=project,
                                      selected=selected))
-    return findings, [filename for filename, _source in sources]
+    return findings
 
 
-def run_paths(paths, selected=None):
-    """:func:`run_paths_details` without the filename list."""
-    return run_paths_details(paths, selected=selected)[0]
-
-
-def run_interproc(paths, selected=None, cache_dir=None, use_cache=True):
-    """Whole-program interprocedural run over ``paths``.
+def run_interproc(paths, selected=None):
+    """Whole-program run over ``paths``: what the CLI and the fixer use.
 
     Builds the project index and the
     :class:`~repro.staticcheck.interproc.InterprocAnalysis`, computes
-    (or loads from the per-module summary cache) function summaries and
-    raw findings, then applies the caller-direction discharge filter.
-    Returns ``(findings, filenames, stats)`` where ``stats`` carries
-    ``analyzed``/``total`` module counts and the discharge count.
-
-    The cache is bypassed when a checker selection is active — entries
-    always describe full-catalogue runs.
+    every function summary, checks file by file with them, then applies
+    the caller-direction discharge filter. Returns ``(findings,
+    filenames, discharged)``: the filenames scope baseline dead/stale
+    checks to what this run actually looked at, and ``discharged``
+    lists ``(path, lineno, col, reason)`` per dropped finding.
     """
     # Imported lazily: interproc pulls in the checkers, which import
     # this module at load time.
-    from repro.staticcheck.cache import (
-        CACHE_FORMAT,
-        DEFAULT_CACHE_DIR,
-        SALT,
-        SummaryCache,
-        content_hash,
-        env_hashes,
-    )
     from repro.staticcheck.interproc import InterprocAnalysis
-    from repro.staticcheck.callgraph import module_key
 
-    sources = []
-    for filename in iter_python_files(paths):
-        with open(filename, "r", encoding="utf-8") as handle:
-            sources.append((filename, handle.read()))
-    project = ProjectIndex.build(sources)
+    sources, project = _index(paths)
     interproc = InterprocAnalysis(project)
-
-    cache = None
-    if use_cache and selected is None:
-        cache = SummaryCache(cache_dir or DEFAULT_CACHE_DIR)
-    contents = {}
-    for filename, source in sources:
-        contents[module_key(filename)] = content_hash(source)
-    env = env_hashes(project, contents) if cache is not None else {}
-
-    hits = {}
-    if cache is not None:
-        for filename, _source in sources:
-            key = module_key(filename)
-            if key not in project.modules:
-                continue            # unparseable: always analyzed fresh
-            entry = cache.load(key, filename, env.get(key))
-            if entry is not None:
-                hits[key] = entry
-
-    for entry in hits.values():
-        interproc.load_summaries(entry["summaries"])
-    misses = [module_key(f) for f, _s in sources
-              if module_key(f) not in hits]
-    interproc.compute_summaries(misses)
-
+    interproc.compute_summaries()
     findings = []
     for filename, source in sources:
-        key = module_key(filename)
-        entry = hits.get(key)
-        if entry is not None:
-            for lineno, col, rule, message in entry["findings"]:
-                findings.append(LintFinding(filename, lineno, col,
-                                            rule, message))
-            for lineno, col, qualname, entry_dep in entry["candidates"]:
-                interproc.register_store(filename, lineno, col,
-                                         qualname, entry_dep)
-            continue
-        file_findings = check_source(filename, source, project=project,
+        findings.extend(check_source(filename, source, project=project,
                                      selected=selected,
-                                     interproc=interproc)
-        findings.extend(file_findings)
-        if cache is not None and key in project.modules:
-            cache.store(key, {
-                "format": CACHE_FORMAT,
-                "salt": SALT,
-                "path": filename,
-                "module": key,
-                "content_hash": contents[key],
-                "env_hash": env.get(key),
-                "summaries": interproc.summary_dicts(key),
-                "findings": [[f.lineno, f.col, f.rule_id, f.message]
-                             for f in file_findings],
-                "candidates": interproc.candidates_for(filename),
-            })
-
+                                     interproc=interproc))
     findings = interproc.filter_findings(findings)
-    stats = {
-        "analyzed": len(sources) - len(hits),
-        "total": len(sources),
-        "discharged": len(interproc.discharged),
-    }
-    return findings, [filename for filename, _source in sources], stats
+    return (findings, [filename for filename, _source in sources],
+            interproc.discharged)
 
 
 def main(argv=None):
@@ -341,22 +273,10 @@ def main(argv=None):
                         default="auto",
                         help="gate idiom for --fix/--fix-diff (default: "
                              "auto — pick per receiver)")
-    parser.add_argument("--interprocedural", action="store_true",
-                        help="whole-program mode: compute per-function "
-                             "persistency summaries over the call graph, "
-                             "discharge findings guaranteed by callees/"
-                             "callers, annotate survivors with call paths")
     parser.add_argument("--witness-trace", action="append", metavar="FILE",
                         help="replay trace (repro.replay format) used to "
                              "ground surviving findings as 'confirmed' or "
-                             "'static-only' (repeatable; implies "
-                             "--interprocedural)")
-    parser.add_argument("--cache-dir", metavar="DIR", default=None,
-                        help="summary cache directory for "
-                             "--interprocedural (default: "
-                             ".staticcheck-cache)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the interprocedural summary cache")
+                             "'static-only' (repeatable)")
     parser.add_argument("--baseline", metavar="FILE", default=None,
                         help="accepted-findings baseline (default: "
                              "discover staticcheck-baseline.txt)")
@@ -396,31 +316,24 @@ def main(argv=None):
             print("staticcheck: error: %s" % exc, file=sys.stderr)
             return 2
 
-    if args.witness_trace:
-        args.interprocedural = True
+    if args.write_baseline and args.select:
+        print("staticcheck: error: --write-baseline records every "
+              "checker's findings; drop --select", file=sys.stderr)
+        return 2
 
     try:
-        if args.interprocedural:
-            findings, checked_files, stats = run_interproc(
-                paths, selected=args.select,
-                cache_dir=args.cache_dir,
-                use_cache=not args.no_cache)
-            print("staticcheck: re-analyzed %d/%d module(s)"
-                  % (stats["analyzed"], stats["total"]), file=sys.stderr)
-            if stats["discharged"]:
-                print("staticcheck: interprocedural summaries discharged "
-                      "%d finding(s)" % stats["discharged"],
-                      file=sys.stderr)
-            if args.witness_trace:
-                from repro.staticcheck.witness import apply_witnesses
-                confirmed, static_only = apply_witnesses(
-                    findings, args.witness_trace)
-                print("staticcheck: witness: %d confirmed, "
-                      "%d static-only" % (confirmed, static_only),
-                      file=sys.stderr)
-        else:
-            findings, checked_files = run_paths_details(
-                paths, selected=args.select)
+        findings, checked_files, discharged = run_interproc(
+            paths, selected=args.select)
+        if discharged:
+            print("staticcheck: interprocedural summaries discharged "
+                  "%d finding(s)" % len(discharged), file=sys.stderr)
+        if args.witness_trace:
+            from repro.staticcheck.witness import apply_witnesses
+            confirmed, static_only = apply_witnesses(
+                findings, args.witness_trace)
+            print("staticcheck: witness: %d confirmed, "
+                  "%d static-only" % (confirmed, static_only),
+                  file=sys.stderr)
     except LintError as exc:
         print("staticcheck: error: %s" % exc, file=sys.stderr)
         return 2
@@ -446,18 +359,17 @@ def main(argv=None):
                 print("staticcheck: error: %s" % exc, file=sys.stderr)
                 return 2
             findings, accepted = baseline.apply(findings)
-            checked_keys = {path_key(name) for name in checked_files}
-            dead = baseline.dead_entries(accepted + findings, checked_keys)
+            dead, stale = baseline.unused_entries(
+                accepted + findings,
+                {path_key(name) for name in checked_files},
+                set(args.select or all_checkers()))
             for dead_path, dead_rule in dead:
                 print("staticcheck: error: baseline entry %s %s is dead "
                       "(that file/rule produces no finding any more); "
                       "remove it from %s"
                       % (dead_path, dead_rule, baseline_path),
                       file=sys.stderr)
-            for stale_path, stale_rule, unused in \
-                    baseline.stale_entries(accepted + findings):
-                if (stale_path, stale_rule) in dead:
-                    continue
+            for stale_path, stale_rule, unused in stale:
                 print("staticcheck: note: baseline entry %s %s has %d "
                       "unused slot(s)" % (stale_path, stale_rule, unused),
                       file=sys.stderr)

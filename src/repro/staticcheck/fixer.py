@@ -340,33 +340,39 @@ def fix_paths(paths, style="auto", diff_only=False, baseline=None,
               stream=None):
     """Fix every file under ``paths`` with new persist-order findings.
 
-    Files whose findings are all baseline-accepted are skipped — the
-    baseline records *intentionally* ungated code (volatile structures)
-    that must not be instrumented in place. Returns the exit code:
-    0 all findings fixed (diffs printed or files rewritten), 1 some
-    store was unfixable, honoring the shared lint exit contract.
+    Files are chosen from the whole-program findings that remain after
+    the baseline: a store the whole-program pass discharges (mechanism
+    or lifecycle code, a gated calling context) needs no gate of its
+    own, and baseline-accepted findings record *intentionally* ungated
+    code (volatile structures) that must not be instrumented in place.
+    Returns the exit code: 0 all findings fixed (diffs printed or files
+    rewritten), 1 some store was unfixable, honoring the shared lint
+    exit contract.
     """
     import sys
 
-    from repro.lint.engine import iter_python_files
-    from repro.staticcheck.engine import check_source
+    from repro.staticcheck.engine import run_interproc
 
     out = stream or sys.stdout
+    findings, filenames, _discharged = run_interproc(
+        paths, selected=["persist-order"])
+    if baseline is not None:
+        findings, _accepted = baseline.apply(findings)
+    flagged = {finding.path for finding in findings}
+    broken = {finding.path for finding in findings
+              if finding.rule_id == "parse-error"}
     exit_code = 0
     fixed_files = 0
-    for filename in iter_python_files(paths):
-        with open(filename, "r", encoding="utf-8") as handle:
-            source = handle.read()
-        findings = check_source(filename, source, selected=["persist-order"])
-        if baseline is not None:
-            findings, _accepted = baseline.apply(findings)
-        if any(f.rule_id == "parse-error" for f in findings):
+    for filename in filenames:
+        if filename not in flagged:
+            continue
+        if filename in broken:
             print("staticcheck: %s: cannot fix, parse error" % filename,
                   file=sys.stderr)
             exit_code = 1
             continue
-        if not findings:
-            continue
+        with open(filename, "r", encoding="utf-8") as handle:
+            source = handle.read()
         fixed, report = fix_source(filename, source, style=style)
         for lineno, col, reason in report.unfixable:
             print("%s:%d:%d: unfixable persist-order finding: %s"

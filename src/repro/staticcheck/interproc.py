@@ -355,29 +355,11 @@ class InterprocAnalysis:
             out.append((self._owner_by_func.get(id(info)), info))
         return out
 
-    def load_summaries(self, dicts):
-        """Install cached summaries (list of ``FunctionSummary.to_dict``)."""
-        from repro.staticcheck.summaries import FunctionSummary
-        for data in dicts:
-            summary = FunctionSummary.from_dict(data)
-            self.summaries[summary.key] = summary
-
-    def summary_dicts(self, key):
-        """Serialized summaries of one module, sorted by qualname."""
-        return [self.summaries[k].to_dict()
-                for k in sorted(self.summaries) if k[0] == key]
-
-    def compute_summaries(self, module_keys=None):
-        """Summarize every function of ``module_keys`` (default: all
-        indexed modules), bottom-up in SCC order; already-installed
-        (cached) summaries of *other* modules feed the fixed point."""
-        if module_keys is None:
-            keys = sorted(self.project.modules)
-        else:
-            keys = sorted(k for k in module_keys
-                          if k in self.project.modules)
+    def compute_summaries(self):
+        """Summarize every function of every indexed module, bottom-up
+        in SCC order."""
         entries = {}
-        for mk in keys:
+        for mk in sorted(self.project.modules):
             module = self.project.modules[mk]
             for owner, info in self._function_universe(module):
                 entries[(mk, info.qualname)] = (module, owner, info)
@@ -493,13 +475,6 @@ class InterprocAnalysis:
         """Record one candidate finding's function and entry-gate
         dependence, keyed by location, for the discharge filter."""
         self._meta[(path, lineno, col)] = (qualname, bool(entry_dep))
-
-    def candidates_for(self, path):
-        """Cache-format candidate list for one file."""
-        return sorted(
-            [lineno, col, qualname, entry_dep]
-            for (p, lineno, col), (qualname, entry_dep)
-            in self._meta.items() if p == path)
 
     def taint_oracle(self, path):
         """Summary-backed det-taint oracle for one file (or None)."""

@@ -27,11 +27,9 @@ state, abstracted over the PR4 CFG+dataflow lattice:
     one (public return/yield, public attribute, or unsanctioned
     foreign-module call) — pm-escape's callee question.
 
-Summaries are pure data (``to_dict``/``from_dict`` round-trip), which is
-what makes the on-disk summary cache (:mod:`repro.staticcheck.cache`)
-possible. All cross-function inputs arrive through ``get_summary``
-callbacks so the SCC fixed-point driver in ``interproc.py`` owns the
-iteration order.
+All cross-function inputs arrive through the ``resolver`` callbacks of
+:func:`summarize_gates`, so the SCC fixed-point loop in
+``interproc.py`` owns the iteration order.
 """
 
 import ast
@@ -48,7 +46,7 @@ from repro.staticcheck.dataflow import TOP
 
 
 class FunctionSummary:
-    """Serializable persistency effects of one function."""
+    """Persistency effects of one function."""
 
     __slots__ = ("module", "qualname", "opens_gate", "closes_gate",
                  "stores_gated", "stores_entry_dep", "stores_unprotected",
@@ -66,42 +64,6 @@ class FunctionSummary:
         self.calls = []
         self.taint_return = False
         self.leaks_params = False
-
-    @property
-    def key(self):
-        """The summary-store key: ``(module, qualname)``."""
-        return (self.module, self.qualname)
-
-    def to_dict(self):
-        """JSON-ready dict; inverse of :meth:`from_dict`."""
-        return {
-            "module": self.module,
-            "qualname": self.qualname,
-            "opens_gate": self.opens_gate,
-            "closes_gate": self.closes_gate,
-            "stores_gated": self.stores_gated,
-            "stores_entry_dep": self.stores_entry_dep,
-            "stores_unprotected": self.stores_unprotected,
-            "calls": [[list(descriptor), gated]
-                      for descriptor, gated in self.calls],
-            "taint_return": self.taint_return,
-            "leaks_params": self.leaks_params,
-        }
-
-    @classmethod
-    def from_dict(cls, data):
-        """Rebuild a summary from :meth:`to_dict` output."""
-        summary = cls(data["module"], data["qualname"])
-        summary.opens_gate = bool(data["opens_gate"])
-        summary.closes_gate = bool(data["closes_gate"])
-        summary.stores_gated = int(data["stores_gated"])
-        summary.stores_entry_dep = int(data["stores_entry_dep"])
-        summary.stores_unprotected = int(data["stores_unprotected"])
-        summary.calls = [(tuple(descriptor), gated)
-                         for descriptor, gated in data["calls"]]
-        summary.taint_return = bool(data["taint_return"])
-        summary.leaks_params = bool(data["leaks_params"])
-        return summary
 
     def __repr__(self):
         return "FunctionSummary(%s:%s%s%s)" % (

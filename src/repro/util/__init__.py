@@ -8,7 +8,6 @@ from repro.util.bitops import (
     line_offset,
     lines_covering,
     page_base,
-    page_offset,
     pages_covering,
     split_lines,
     split_pages,
@@ -46,7 +45,6 @@ __all__ = [
     "line_offset",
     "lines_covering",
     "page_base",
-    "page_offset",
     "pages_covering",
     "ratio",
     "split_lines",

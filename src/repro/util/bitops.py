@@ -45,11 +45,6 @@ def page_base(addr):
     return align_down(addr, PAGE_SIZE)
 
 
-def page_offset(addr):
-    """Return the offset of ``addr`` within its page."""
-    return addr & (PAGE_SIZE - 1)
-
-
 def split_lines(addr, size):
     """Split the byte range ``[addr, addr+size)`` into per-line chunks.
 

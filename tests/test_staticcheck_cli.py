@@ -140,15 +140,50 @@ def test_no_baseline_flag_reports_everything(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _accepting_baseline(tmp_path, dirty, count):
+    baseline = tmp_path / "baseline.txt"
+    baseline.write_text("# volatile by design\n%s persist-order %d\n"
+                        % (path_key(str(dirty)), count))
+    return baseline
+
+
+def test_select_keeps_entries_of_rules_that_did_not_run(tmp_path, capsys):
+    """A --select run cannot judge entries for checkers it skipped."""
+    dirty = dirty_file(tmp_path)
+    baseline = _accepting_baseline(tmp_path, dirty, 2)
+    assert main(["--baseline", str(baseline), str(dirty)]) == 0
+    assert "unused slot" in capsys.readouterr().err
+    assert main(["--baseline", str(baseline), "--select", "det-taint",
+                 str(dirty)]) == 0
+    err = capsys.readouterr().err
+    assert "dead" not in err and "unused slot" not in err
+
+
+def test_write_baseline_refuses_a_checker_selection(tmp_path, capsys):
+    """Rewriting from a partial catalogue would drop the other
+    checkers' justified entries, so it is a usage error."""
+    dirty = dirty_file(tmp_path)
+    baseline = _accepting_baseline(tmp_path, dirty, 1)
+    before = baseline.read_text()
+    assert main(["--select", "det-taint", "--write-baseline",
+                 "--baseline", str(baseline), str(dirty)]) == 2
+    assert "--select" in capsys.readouterr().err
+    assert baseline.read_text() == before
+
+
 # -- the tree itself --------------------------------------------------------
 
 def test_real_tree_is_clean_against_committed_baseline(capsys):
-    # The committed baseline records the *interprocedural* findings: the
-    # backend entries the per-function checker needed are discharged by
-    # callee summaries, so per-function runs use --no-baseline instead.
-    assert main([SRC_REPRO, "--interprocedural", "--no-cache",
-                 "--baseline", BASELINE]) == 0
-    capsys.readouterr()
+    # No --baseline: the committed one is found by discovery.
+    assert main([SRC_REPRO]) == 0
+    assert "clean (" in capsys.readouterr().err
+
+
+def test_fix_diff_on_real_tree_is_empty(capsys):
+    """Every store the fixer could gate is discharged by the
+    whole-program pass or accepted by the baseline."""
+    assert main(["--fix-diff", SRC_REPRO]) == 0
+    assert capsys.readouterr().out == ""
 
 
 def test_committed_baseline_is_fully_justified():

@@ -220,6 +220,35 @@ def test_fix_skips_baseline_accepted_files(tmp_path, capsys):
     assert target.read_text() == before
 
 
+def test_fix_leaves_whole_program_discharged_files_alone(tmp_path,
+                                                        capsys):
+    """Files are chosen from whole-program findings: a mechanism class
+    (it defines begin and commit itself) gets no gate of its own."""
+    mechanism = tmp_path / "repro" / "baselines" / "b.py"
+    mechanism.parent.mkdir(parents=True)
+    mechanism.write_text(
+        "class TxLog:\n"
+        "    def begin(self):\n"
+        "        self._open = True\n"
+        "    def commit(self):\n"
+        "        self._open = False\n"
+        "    def apply(self, k, v):\n"
+        "        self._mem.write_u64(k, v)\n")
+    structure = tmp_path / "repro" / "structures" / "s.py"
+    structure.parent.mkdir(parents=True)
+    structure.write_text(
+        "class S:\n"
+        "    def put(self, k, v):\n"
+        "        self._mem.write_u64(k, v)\n")
+    before = mechanism.read_text()
+    assert _findings(mechanism)            # per-function mode flags it
+    assert main(["--no-baseline", "--fix", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert mechanism.read_text() == before
+    assert "self._mem.begin()" in structure.read_text()
+    assert not _findings(structure)
+
+
 def test_fix_reports_parse_errors(tmp_path, capsys):
     tree = _bad_tree(tmp_path)
     (tree / "structures" / "broken.py").write_text("def broken(:\n")

@@ -1,7 +1,7 @@
 """Whole-program interprocedural staticcheck: function summaries over
 the call graph (SCC fixpoints), discharge of per-function findings that
-callees/callers prove safe, the incremental summary cache, the baseline
-orphan rule, and trace-grounded witnesses."""
+callees/callers prove safe, the baseline orphan rule, and
+trace-grounded witnesses."""
 
 import json
 import os
@@ -34,11 +34,9 @@ def write_tree(tmp_path, files):
     return str(tmp_path)
 
 
-def interproc_run(tmp_path, files, **kwargs):
+def interproc_run(tmp_path, files):
     """Write the tree and run the interprocedural pipeline over it."""
-    root = write_tree(tmp_path, files)
-    kwargs.setdefault("use_cache", False)
-    return run_interproc([root], **kwargs)
+    return run_interproc([write_tree(tmp_path, files)])
 
 
 def keys_of(findings):
@@ -145,7 +143,7 @@ def test_functools_partial_self_attr_routes_to_method(tmp_path):
 # -- SCC / fixpoint edge cases ----------------------------------------------
 
 def test_mutual_recursion_converges_without_fabricated_gates(tmp_path):
-    findings, _names, _stats = interproc_run(tmp_path, {
+    findings, _names, _discharged = interproc_run(tmp_path, {
         "repro/structures/rec.py": """
             class S:
                 def alpha(self, n):
@@ -169,7 +167,7 @@ def test_summary_gains_gate_across_scc_iterations(tmp_path):
     # exists — and alpha/beta sit in one SCC, so the first iteration
     # (alphabetical order) summarizes alpha before beta. Only the
     # fixpoint re-run discharges the store.
-    findings, _names, stats = interproc_run(tmp_path, {
+    findings, _names, _discharged = interproc_run(tmp_path, {
         "repro/structures/cycle.py": """
             class S:
                 def alpha(self, n):
@@ -186,7 +184,7 @@ def test_summary_gains_gate_across_scc_iterations(tmp_path):
 
 
 def test_recursive_cycle_through_except_edge_terminates(tmp_path):
-    findings, _names, _stats = interproc_run(tmp_path, {
+    findings, _names, _discharged = interproc_run(tmp_path, {
         "repro/structures/exc.py": """
             class S:
                 def flaky(self, n):
@@ -219,8 +217,7 @@ def test_store_verb_call_defers_to_checked_callee_body(tmp_path):
     }
     per_function = run_paths([write_tree(tmp_path, files)])
     assert len(per_function) == 1          # the self._write(...) call
-    findings, _names, _stats = run_interproc([str(tmp_path)],
-                                             use_cache=False)
+    findings, _names, _discharged = run_interproc([str(tmp_path)])
     assert findings == []                  # analyzed in the callee body
 
 
@@ -238,13 +235,12 @@ def test_callee_must_open_gate_covers_caller_store(tmp_path):
     }
     per_function = run_paths([write_tree(tmp_path, files)])
     assert len(per_function) == 1
-    findings, _names, _stats = run_interproc([str(tmp_path)],
-                                             use_cache=False)
+    findings, _names, _discharged = run_interproc([str(tmp_path)])
     assert findings == []
 
 
 def test_mechanism_class_discharge(tmp_path):
-    findings, _names, stats = interproc_run(tmp_path, {
+    findings, _names, discharged = interproc_run(tmp_path, {
         "repro/structures/mech.py": """
             class TxLog:
                 def begin(self):
@@ -258,7 +254,7 @@ def test_mechanism_class_discharge(tmp_path):
         """,
     })
     assert findings == []
-    assert stats["discharged"] == 1
+    assert [reason for _p, _l, _c, reason in discharged] == ["mechanism"]
 
 
 def test_lifecycle_discharge_is_limited_to_baselines(tmp_path):
@@ -268,13 +264,13 @@ def test_lifecycle_discharge_is_limited_to_baselines(tmp_path):
                 self._mem.write_u64(0, 0)
     """
     # In baselines/, restart() owns the medium during recovery.
-    findings, _names, _stats = interproc_run(tmp_path, {
+    findings, _names, _discharged = interproc_run(tmp_path, {
         "repro/baselines/b.py": lifecycle,
     })
     assert findings == []
     # The identical code in structures/ keeps its finding: the
     # lifecycle argument is a backend-recovery property.
-    findings2, _names2, _stats2 = interproc_run(tmp_path / "other", {
+    findings2, _names2, _discharged2 = interproc_run(tmp_path / "other", {
         "repro/structures/b.py": lifecycle,
     })
     assert len(findings2) == 1
@@ -298,13 +294,12 @@ def test_gated_context_discharges_helper_stores(tmp_path):
     }
     per_function = run_paths([write_tree(tmp_path, files)])
     assert len(per_function) == 1          # _update's bare store
-    findings, _names, _stats = run_interproc([str(tmp_path)],
-                                             use_cache=False)
+    findings, _names, _discharged = run_interproc([str(tmp_path)])
     assert findings == []
 
 
 def test_unprotected_caller_keeps_helper_finding_with_call_path(tmp_path):
-    findings, _names, _stats = interproc_run(tmp_path, {
+    findings, _names, _discharged = interproc_run(tmp_path, {
         "repro/structures/open_door.py": """
             class S:
                 def put(self, k, v):
@@ -335,8 +330,7 @@ def test_interproc_findings_are_subset_of_per_function(tmp_path):
         """,
     }
     per_function = run_paths([write_tree(tmp_path, files)])
-    findings, _names, _stats = run_interproc([str(tmp_path)],
-                                             use_cache=False)
+    findings, _names, _discharged = run_interproc([str(tmp_path)])
     assert set(keys_of(findings)) <= set(keys_of(per_function))
     assert len(findings) == 1              # only bad() survives
 
@@ -345,83 +339,11 @@ def test_seeded_fixtures_fire_in_both_modes():
     root = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         "fixtures", "staticcheck")
     per_function = run_paths([root])
-    findings, _names, _stats = run_interproc([root], use_cache=False)
+    findings, _names, _discharged = run_interproc([root])
     # Zero new false negatives: whole-program mode keeps every seeded
     # violation (messages may gain call-path suffixes).
     assert keys_of(findings) == keys_of(per_function)
     assert findings
-
-
-# -- the summary cache -------------------------------------------------------
-
-CACHED_TREE = {
-    "repro/structures/low.py": """
-        def leaf(x):
-            return x + 1
-    """,
-    "repro/structures/mid.py": """
-        from repro.structures.low import leaf
-
-        def relay(x):
-            return leaf(x)
-    """,
-    "repro/structures/top.py": """
-        from repro.structures.mid import relay
-
-        class S:
-            def put(self, k, v):
-                relay(k)
-                self._mem.write_u64(k, v)
-    """,
-}
-
-
-def test_cache_cold_then_warm_is_identical(tmp_path):
-    root = write_tree(tmp_path / "tree", CACHED_TREE)
-    cache_dir = str(tmp_path / "cache")
-    cold, _names, cold_stats = run_interproc([root], cache_dir=cache_dir)
-    assert cold_stats["analyzed"] == cold_stats["total"] == 3
-    warm, _names2, warm_stats = run_interproc([root], cache_dir=cache_dir)
-    assert warm_stats["analyzed"] == 0
-    assert keys_of(warm) == keys_of(cold)
-    assert [f.message for f in warm] == [f.message for f in cold]
-
-
-def test_cache_invalidates_importers_transitively(tmp_path):
-    root = write_tree(tmp_path / "tree", CACHED_TREE)
-    cache_dir = str(tmp_path / "cache")
-    run_interproc([root], cache_dir=cache_dir)
-    leaf = tmp_path / "tree" / "repro" / "structures" / "low.py"
-    leaf.write_text(leaf.read_text() + "\n# touched\n")
-    _f, _names, stats = run_interproc([root], cache_dir=cache_dir)
-    # low changed; mid imports low; top imports mid: all three.
-    assert stats["analyzed"] == 3
-    _f2, _names2, stats2 = run_interproc([root], cache_dir=cache_dir)
-    assert stats2["analyzed"] == 0
-
-
-def test_cache_untouched_sibling_stays_cached(tmp_path):
-    tree = dict(CACHED_TREE)
-    tree["repro/structures/island.py"] = """
-        def alone(x):
-            return x
-    """
-    root = write_tree(tmp_path / "tree", tree)
-    cache_dir = str(tmp_path / "cache")
-    run_interproc([root], cache_dir=cache_dir)
-    leaf = tmp_path / "tree" / "repro" / "structures" / "low.py"
-    leaf.write_text(leaf.read_text() + "\n# touched\n")
-    _f, _names, stats = run_interproc([root], cache_dir=cache_dir)
-    assert stats["analyzed"] == 3          # island.py not re-analyzed
-    assert stats["total"] == 4
-
-
-def test_select_bypasses_the_cache(tmp_path):
-    root = write_tree(tmp_path / "tree", CACHED_TREE)
-    cache_dir = str(tmp_path / "cache")
-    run_interproc([root], cache_dir=cache_dir,
-                  selected=["persist-order"])
-    assert not os.path.isdir(cache_dir)
 
 
 # -- baseline orphan rule ----------------------------------------------------
@@ -523,7 +445,7 @@ WITNESS_TREE = {
 
 def test_witness_confirms_import_reachable_findings(tmp_path):
     root = write_tree(tmp_path, WITNESS_TREE)
-    findings, _names, _stats = run_interproc([root], use_cache=False)
+    findings, _names, _discharged = run_interproc([root])
     assert len(findings) == 2
     trace_path = str(tmp_path / "unsafe.trace")
     make_trace([STORE, STORE]).save(trace_path)
@@ -538,7 +460,7 @@ def test_witness_confirms_import_reachable_findings(tmp_path):
 
 def test_safe_trace_confirms_nothing(tmp_path):
     root = write_tree(tmp_path, WITNESS_TREE)
-    findings, _names, _stats = run_interproc([root], use_cache=False)
+    findings, _names, _discharged = run_interproc([root])
     trace_path = str(tmp_path / "safe.trace")
     make_trace([STORE, STORE, PERSIST]).save(trace_path)
     confirmed, static_only = apply_witnesses(findings, [trace_path],
