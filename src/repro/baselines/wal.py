@@ -22,7 +22,7 @@ import struct
 
 from repro.errors import LogError
 from repro.libpax.machine import HEAP_PHYS_BASE
-from repro.pm.log import ENTRY_SIZE, decode_entry, encode_entry
+from repro.pm.log import ENTRY_SIZE, POISON, decode_entry, encode_entry
 from repro.util.bitops import align_down
 from repro.util.constants import CACHE_LINE_SIZE
 from repro.util.stats import StatGroup
@@ -119,9 +119,9 @@ class Wal:
         if self.write_offset + ENTRY_SIZE <= self._layout.wal_size:
             self._space.write(
                 HEAP_PHYS_BASE + self._layout.wal_base + self.write_offset,
-                bytes(24))
-        self._c_appends.add(1)
-        self._c_bytes.add(ENTRY_SIZE)
+                POISON)
+        self._c_appends.value += 1
+        self._c_bytes.value += ENTRY_SIZE
         if self.tracer is not None:
             self.tracer.on_wal_append(tx_id, addr)
         # The NT store itself pipelines; ordering it before the following
@@ -132,9 +132,9 @@ class Wal:
 
     def reset(self):
         """Rewind after commit; poisons the first header like the pool log."""
-        self._space.write(HEAP_PHYS_BASE + self._layout.wal_base, bytes(24))
+        self._space.write(HEAP_PHYS_BASE + self._layout.wal_base, POISON)
         self.write_offset = 0
-        self._c_resets.add(1)
+        self._c_resets.value += 1
         if self.tracer is not None:
             self.tracer.on_wal_reset()
 

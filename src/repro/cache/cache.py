@@ -97,7 +97,7 @@ class SetAssociativeCache:
                 victim_addr = policy.victim()
                 victim = bucket.pop(victim_addr)
                 policy.on_remove(victim_addr)
-                self._c_evictions.add(1)
+                self._c_evictions.value += 1
             policy.on_insert(line.addr)
         bucket[line.addr] = line
         return victim
@@ -108,7 +108,7 @@ class SetAssociativeCache:
         line = self._sets[index].pop(line_addr, None)
         if line is not None:
             self._policies[index].on_remove(line_addr)
-            self._c_invalidations.add(1)
+            self._c_invalidations.value += 1
         return line
 
     def clear(self):

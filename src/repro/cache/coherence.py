@@ -15,6 +15,8 @@ from repro.cache.line import MesiState
 from repro.errors import ProtocolError
 from repro.util.stats import StatGroup
 
+_WRITABLE = MesiState.WRITABLE
+
 
 class DirectoryEntry:
     """Sharer/owner bookkeeping for one line."""
@@ -23,14 +25,6 @@ class DirectoryEntry:
 
     def __init__(self):
         self.states = {}
-
-    @property
-    def owner(self):
-        """The core holding M or E, or None."""
-        for core, state in self.states.items():
-            if state in MesiState.WRITABLE:
-                return core
-        return None
 
     def sharers(self):
         """Cores holding the line in any valid state."""
@@ -60,20 +54,28 @@ class Directory:
         if state == MesiState.INVALID:
             self.drop(line_addr, core)
             return
-        entry = self._entries.setdefault(line_addr, DirectoryEntry())
-        if state in MesiState.WRITABLE:
-            others = [c for c in entry.states if c != core]
-            if others:
+        entry = self._entries.get(line_addr)
+        if entry is None:
+            entry = self._entries[line_addr] = DirectoryEntry()
+        states = entry.states
+        if state in _WRITABLE:
+            # Some other core holds the line iff ``states`` has a key
+            # besides ``core``.
+            if len(states) > (core in states):
+                others = [c for c in states if c != core]
                 raise ProtocolError(
                     "grant of %s on 0x%x while cores %r still hold it"
                     % (state, line_addr, others))
         else:
-            owner = entry.owner
-            if owner is not None and owner != core:
-                raise ProtocolError(
-                    "grant of S on 0x%x while core %d holds %s"
-                    % (line_addr, owner, entry.states[owner]))
-        entry.states[core] = state
+            # Only the owner (the first core holding M or E) conflicts.
+            for holder, held in states.items():
+                if held in _WRITABLE:
+                    if holder != core:
+                        raise ProtocolError(
+                            "grant of S on 0x%x while core %d holds %s"
+                            % (line_addr, holder, held))
+                    break
+        states[core] = state
 
     def drop(self, line_addr, core):
         """Remove ``core`` from the sharer set (private-cache eviction)."""
@@ -87,7 +89,11 @@ class Directory:
     def owner(self, line_addr):
         """Core holding M/E, or None."""
         entry = self._entries.get(line_addr)
-        return entry.owner if entry is not None else None
+        if entry is not None:
+            for core, state in entry.states.items():
+                if state in _WRITABLE:
+                    return core
+        return None
 
     def sharers(self, line_addr):
         """All cores holding the line."""

@@ -47,6 +47,7 @@ _INVALID = MesiState.INVALID
 _SHARED = MesiState.SHARED
 _EXCLUSIVE = MesiState.EXCLUSIVE
 _MODIFIED = MesiState.MODIFIED
+_WRITABLE = MesiState.WRITABLE
 
 
 class _Core:
@@ -288,9 +289,18 @@ class CacheHierarchy:
             # The line is about to be modified: whatever clean copy a
             # side buffer holds goes stale the instant the store lands.
             mech.invalidate(line_addr)
-        owner = self._dir.owner(line_addr)
-        sharers = [c for c in self._dir.sharers(line_addr)
-                   if c != core.core_id]
+        # One directory read: the first M/E holder (Directory.owner) and
+        # the other cores' copies in directory order (Directory.sharers).
+        # Nothing below changes this line's entry before the grant.
+        owner = None
+        sharers = []
+        entry = self._dir_entries.get(line_addr)
+        if entry is not None:
+            for holder, held in entry.states.items():
+                if owner is None and held in _WRITABLE:
+                    owner = holder
+                if holder != core.core_id:
+                    sharers.append(holder)
         if owner is not None and owner != core.core_id:
             data, dirty, extra = self._pull_from_core(
                 owner, line_addr, invalidate=exclusive)
@@ -300,7 +310,7 @@ class CacheHierarchy:
             if exclusive:
                 # Any LLC copy is older than the stolen M data.
                 self._llc.remove(line_addr)
-            self._c_cross_core.add(1)
+            self._c_cross_core.value += 1
         elif sharers:
             # Cache-to-cache forward from a clean sharer: cheaper than a
             # home fetch, and for device-homed lines it spares a device
@@ -313,7 +323,7 @@ class CacheHierarchy:
                     % (sharers[0], line_addr))
             data = source.snapshot()
             latency += self._cross_core_ns
-            self._c_sharer_forwards.add(1)
+            self._c_sharer_forwards.value += 1
             if exclusive:
                 latency += self._invalidate_sharers(core.core_id, line_addr)
                 # As in _upgrade: a dirty LLC copy is superseded by the
@@ -333,7 +343,7 @@ class CacheHierarchy:
             home = self.home_for(line_addr)
             if llc_line is not None:
                 latency += self._llc_ns
-                self._c_llc_hits.add(1)
+                self._c_llc_hits.value += 1
                 data = llc_line.snapshot()
                 dirty = llc_line.dirty
                 if exclusive:
@@ -363,14 +373,14 @@ class CacheHierarchy:
                 else:
                     data, home_ns = home.acquire(line_addr, exclusive, True)
                     latency += home_ns
-                    self._c_memory_fetches.add(1)
+                    self._c_memory_fetches.value += 1
                     if mech is not None and not exclusive:
                         mech.on_demand_fill(line_addr, data, self._mech_fetch)
                     line = CacheLine(line_addr, data, dirty=False)
                     if exclusive:
                         new_state = MesiState.MODIFIED
-                    elif home.grants_exclusive \
-                            and not self._dir.sharers(line_addr):
+                    elif home.grants_exclusive and entry is None:
+                        # Sole reader: no core held the line.
                         new_state = MesiState.EXCLUSIVE
                     else:
                         new_state = MesiState.SHARED
@@ -380,7 +390,9 @@ class CacheHierarchy:
         if tracer is not None:
             tracer.on_span("store" if exclusive else "load", "miss",
                            self._clock.now_ns, latency, {"line": line_addr})
-        self._charge(latency)
+        # _charge() inlined, as in _hit_path: every miss returns here.
+        self._record_access(latency)
+        self._advance(latency)
         return line
 
     def _upgrade(self, core_id, line_addr):
@@ -396,13 +408,16 @@ class CacheHierarchy:
         _none, home_ns = home.acquire(line_addr, True, False)
         latency += home_ns
         self._dir.set_state(line_addr, core_id, MesiState.MODIFIED)
-        self._c_upgrades.add(1)
+        self._c_upgrades.value += 1
         return latency
 
     def _invalidate_sharers(self, requester, line_addr):
         """Drop every other core's (necessarily clean, S-state) copy."""
         latency = 0.0
-        for sharer in list(self._dir.sharers(line_addr)):
+        entry = self._dir_entries.get(line_addr)
+        if entry is None:
+            return latency
+        for sharer in list(entry.states):
             if sharer == requester:
                 continue
             other = self._cores[sharer]
@@ -410,7 +425,7 @@ class CacheHierarchy:
             other.l2.remove(line_addr)
             self._dir.drop(line_addr, sharer)
             latency += self._llc_ns   # snoop round through the LLC
-            self._c_inval_snoops.add(1)
+            self._c_inval_snoops.value += 1
         return latency
 
     def _pull_from_core(self, owner_id, line_addr, invalidate):
@@ -455,13 +470,13 @@ class CacheHierarchy:
             if core.l2.peek(victim.addr) is None:
                 raise ProtocolError(
                     "L1 victim 0x%x missing from inclusive L2" % victim.addr)
-            self._c_l1_evictions.add(1)
+            self._c_l1_evictions.value += 1
 
     def _evict_from_l2(self, core, victim):
         """An L2 victim leaves the core entirely (back-invalidates L1)."""
         core.l1.remove(victim.addr)
         self._dir.drop(victim.addr, core.core_id)
-        self._c_l2_evictions.add(1)
+        self._c_l2_evictions.value += 1
         if victim.dirty:
             return self._insert_llc(CacheLine(victim.addr, victim.data, dirty=True))
         if self._mech is not None:
@@ -485,7 +500,7 @@ class CacheHierarchy:
         if victim.dirty:
             home = self.home_for(victim.addr)
             latency = home.writeback(victim.addr, victim.snapshot())
-            self._c_llc_writebacks.add(1)
+            self._c_llc_writebacks.value += 1
         if self._mech is not None:
             # Dirty victims were just written back, so the captured copy
             # matches the home again; clean victims always did.
@@ -538,7 +553,7 @@ class CacheHierarchy:
         obligation with it — the caller (the device) must get it to the
         home. All cached copies are left clean, so nothing else will.
         """
-        self._c_snoop_shared.add(1)
+        self._c_snoop_shared.value += 1
         fresh = None
         owner = self._dir.owner(line_addr)
         if owner is not None:
@@ -564,7 +579,7 @@ class CacheHierarchy:
 
     def snoop_invalidate(self, line_addr):
         """Remove every cached copy; return freshest dirty data (or None)."""
-        self._c_snoop_invalidate.add(1)
+        self._c_snoop_invalidate.value += 1
         if self._mech is not None:
             # The device is taking custody of the line; drop any side-
             # buffer copy along with the cached ones.
@@ -601,14 +616,14 @@ class CacheHierarchy:
                 if llc_line is not None:
                     llc_line.data = bytearray(line.data)
                     llc_line.dirty = False
-                self._c_clwb_writebacks.add(1)
+                self._c_clwb_writebacks.value += 1
                 return True
         llc_line = self._llc.peek(line_addr)
         if llc_line is not None and llc_line.dirty:
             self._charge(self.home_for(line_addr).writeback(
                 line_addr, llc_line.snapshot()))
             llc_line.dirty = False
-            self._c_clwb_writebacks.add(1)
+            self._c_clwb_writebacks.value += 1
             return True
         return False
 

@@ -62,7 +62,7 @@ class HostHome(Home):
         self._c_line_writebacks = self.stats.counter("line_writebacks")
 
     def acquire(self, line_addr, exclusive, need_data):
-        self._c_acquires.add(1)
+        self._c_acquires.value += 1
         if not need_data:
             # Host-internal permission upgrade: the directory handles it;
             # no media access happens.
@@ -71,7 +71,7 @@ class HostHome(Home):
         latency = self._read_ns
         if self._read_limiter is not None:
             latency += self._read_limiter.submit(64)
-        self._c_line_reads.add(1)
+        self._c_line_reads.value += 1
         return data, latency
 
     def writeback(self, line_addr, data):
@@ -79,7 +79,7 @@ class HostHome(Home):
         latency = self._write_ns
         if self._write_limiter is not None:
             latency += self._write_limiter.submit(len(data))
-        self._c_line_writebacks.add(1)
+        self._c_line_writebacks.value += 1
         return latency
 
     def __repr__(self):

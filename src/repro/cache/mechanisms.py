@@ -278,8 +278,12 @@ class StreamBuffers(Mechanism):
     def invalidate(self, line_addr):
         # Conservative: flush any stream holding the line (its remaining
         # entries were fetched around data that is going stale).
-        stale = [sid for sid, queue in self._streams.items()
-                 if any(addr == line_addr for addr, _data in queue)]
+        stale = []
+        for stream_id, queue in self._streams.items():
+            for addr, _data in queue:
+                if addr == line_addr:
+                    stale.append(stream_id)
+                    break
         for stream_id in stale:
             del self._streams[stream_id]
             self._c_invalidations.value += 1

@@ -44,8 +44,13 @@ class LruPolicy(ReplacementPolicy):
             pass
 
     def on_insert(self, addr):
-        self._order[addr] = True
-        self._order.move_to_end(addr)
+        # A fresh key already lands at the most-recent end; only a key
+        # inserted twice needs moving.
+        order = self._order
+        if addr in order:
+            order.move_to_end(addr)
+        else:
+            order[addr] = True
 
     def on_remove(self, addr):
         self._order.pop(addr, None)

@@ -1,8 +1,13 @@
 """PAX device configuration."""
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
+
+#: The numeric knobs :meth:`PaxConfig.validate` requires to be finite.
+_NUMERIC = ("hbm_lines", "writeback_buffer_lines", "log_drain_bps",
+            "writeback_drain_bps", "device_processing_ns")
 
 
 @dataclass
@@ -53,6 +58,11 @@ class PaxConfig:
         """Raise :class:`ConfigError` on inconsistent settings."""
         from repro.cache.mechanisms import make_mechanisms
         make_mechanisms(self.mechanisms, self.mechanism_policy)
+        for name in _NUMERIC:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError("PaxConfig.%s must be finite, got %r"
+                                  % (name, value))
         if self.hbm_lines < 0:
             raise ConfigError("hbm_lines cannot be negative")
         if self.writeback_buffer_lines <= 0:

@@ -66,6 +66,9 @@ class PaxDevice:
         # targets once (the logger/coordinator/pipeline live as long as
         # the device).
         self._undo_drain = self.undo.drain_budget
+        # undo.seq_for without its wrapper frame: the logger clears its
+        # line -> seq dict in place at each epoch, never replaces it.
+        self._seq_for = self.undo._logged.get
         self._wb_drain = self.writeback.drain_budget
         self._pipeline_poll = self.pipeline.poll
         self.stats = StatGroup("pax_device")
@@ -98,8 +101,13 @@ class PaxDevice:
 
     def to_pool(self, phys_addr):
         """Translate a vPM physical address to a pool-relative offset."""
-        offset = phys_addr - self.vpm_base + self.pool.data_base
-        if not self.pool.contains_data(offset, CACHE_LINE_SIZE):
+        pool = self.pool
+        base = pool.data_base
+        offset = phys_addr - self.vpm_base + base
+        # pool.contains_data(offset, CACHE_LINE_SIZE), inline: every
+        # message from the host translates its address here.
+        if not (base <= offset
+                and offset + CACHE_LINE_SIZE <= base + pool.data_size):
             raise AddressError(
                 "physical 0x%x is outside this device's vPM range" % phys_addr)
         return offset
@@ -118,7 +126,7 @@ class PaxDevice:
         return handler(message)
 
     def _clean_evict(self, message):
-        self._c_clean_evicts.add(1)
+        self._c_clean_evicts.value += 1
         return msg.Go(message.addr), self.config.device_processing_ns
 
     # -- CXL.mem mode (paper §6: less coherence visibility) -----------------
@@ -128,7 +136,7 @@ class PaxDevice:
         pool_addr = self.to_pool(message.addr)
         data, media_ns = self._lookup_line(pool_addr)
         self.hbm.put(pool_addr, data)
-        self._c_mem_rd.add(1)
+        self._c_mem_rd.value += 1
         service = self.config.device_processing_ns + media_ns
         return msg.DataResponse(message.addr, data, "S"), service
 
@@ -142,21 +150,21 @@ class PaxDevice:
         first, and dedup keeps the original record).
         """
         pool_addr = self.to_pool(message.addr)
-        self._c_mem_wr.add(1)
+        self._c_mem_wr.value += 1
         if self.mech is not None:
             # The write supersedes whatever clean copy a side buffer
             # holds (there is no RdOwn in .mem mode to catch this at).
             self.mech.invalidate(pool_addr)
-        if self.undo.seq_for(pool_addr) is None:
+        if self._seq_for(pool_addr) is None:
             old = self.pool.device.read(pool_addr, CACHE_LINE_SIZE)
             self.undo.note_modification(pool_addr, old)
-            self._c_lines_logged.add(1)
-        seq = self.undo.seq_for(pool_addr)
+            self._c_lines_logged.value += 1
+        seq = self._seq_for(pool_addr)
         pumped = self.writeback.buffer_line(pool_addr, message.data, seq)
         service = self.config.device_processing_ns
         if pumped:
             service += pumped * 1e9 / self.config.log_drain_bps
-            self._c_stalled_evicts.add(1)
+            self._c_stalled_evicts.value += 1
         return msg.Go(message.addr), service
 
     def persist_mem(self, clock=None):
@@ -193,7 +201,7 @@ class PaxDevice:
         """
         data = self.writeback.peek(pool_addr)
         if data is not None:
-            self._c_buffer_serves.add(1)
+            self._c_buffer_serves.value += 1
             return data, 0.0
         data = self.hbm.get(pool_addr)
         if data is not None:
@@ -205,7 +213,7 @@ class PaxDevice:
                 self._c_mech_hits.value += 1
                 return data, self._lat.media.hbm_ns
         data = self.pool.device.read(pool_addr, CACHE_LINE_SIZE)
-        self._c_pm_line_reads.add(1)
+        self._c_pm_line_reads.value += 1
         if mech is not None:
             mech.on_demand_fill(pool_addr, data, self._mech_fetch)
         return data, self._lat.media.pm_read_ns
@@ -220,7 +228,7 @@ class PaxDevice:
         """
         if not self.pool.contains_data(pool_addr, CACHE_LINE_SIZE):
             return None
-        if self.undo.seq_for(pool_addr) is not None:
+        if self._seq_for(pool_addr) is not None:
             return None
         if self.writeback.peek(pool_addr) is not None:
             return None
@@ -238,7 +246,7 @@ class PaxDevice:
         newer copy of) would go stale with no invalidation message, so
         it is dropped instead of captured.
         """
-        if self.undo.seq_for(pool_addr) is not None:
+        if self._seq_for(pool_addr) is not None:
             return
         if self.writeback.peek(pool_addr) is not None:
             return
@@ -248,26 +256,26 @@ class PaxDevice:
         pool_addr = self.to_pool(message.addr)
         data, media_ns = self._lookup_line(pool_addr)
         self.hbm.put(pool_addr, data)
-        self._c_rd_shared.add(1)
+        self._c_rd_shared.value += 1
         service = self.config.device_processing_ns + media_ns
         return msg.DataResponse(message.addr, data, "S"), service
 
     def _rd_own(self, message):
         pool_addr = self.to_pool(message.addr)
-        self._c_rd_own.add(1)
+        self._c_rd_own.value += 1
         # Undo-log the epoch-start value: the newest *device-visible*
         # value. With blocking persists that always equals the PM copy;
         # with pipelined persists (core.pipeline) the previous epoch's
         # value may still sit in the write-back buffer, and it — not the
         # stale PM bytes — is what rollback must restore.
-        if self.undo.seq_for(pool_addr) is None:
+        if self._seq_for(pool_addr) is None:
             old = self.writeback.peek(pool_addr)
             if old is None:
                 old = self.hbm.peek(pool_addr)
             if old is None:
                 old = self.pool.device.read(pool_addr, CACHE_LINE_SIZE)
             self.undo.note_modification(pool_addr, old)
-            self._c_lines_logged.add(1)
+            self._c_lines_logged.value += 1
         service = self.config.device_processing_ns
         if message.need_data:
             data, media_ns = self._lookup_line(pool_addr)
@@ -285,7 +293,7 @@ class PaxDevice:
 
     def _dirty_evict(self, message):
         pool_addr = self.to_pool(message.addr)
-        seq = self.undo.seq_for(pool_addr)
+        seq = self._seq_for(pool_addr)
         if seq is None:
             # Invariant: a dirty vPM line implies a RdOwn (and thus a log
             # record) earlier in this same epoch — persist() downgrades
@@ -294,12 +302,12 @@ class PaxDevice:
                 "dirty eviction of 0x%x, but the line was never logged "
                 "this epoch" % message.addr)
         pumped = self.writeback.buffer_line(pool_addr, message.data, seq)
-        self._c_dirty_evicts.add(1)
+        self._c_dirty_evicts.value += 1
         service = self.config.device_processing_ns
         if pumped:
             # A forced log pump stalls the eviction path synchronously.
             service += pumped * 1e9 / self.config.log_drain_bps
-            self._c_stalled_evicts.add(1)
+            self._c_stalled_evicts.value += 1
         return msg.Go(message.addr), service
 
     # -- persist: the group commit (paper §3.3) ------------------------------------
@@ -333,7 +341,7 @@ class PaxDevice:
             fresh, link_ns = snoop_port.snoop_shared(self.to_phys(pool_addr))
             charge(link_ns)
             if fresh is not None:
-                seq = self.undo.seq_for(pool_addr)
+                seq = self._seq_for(pool_addr)
                 self.writeback.buffer_line(pool_addr, fresh, seq)
         # 2+3. Make every undo record durable, then write all buffered
         # lines to PM (flush_all enforces that order internally).

@@ -46,10 +46,10 @@ class HbmCache:
         """Return cached line data or None; refreshes recency."""
         data = self._lines.get(pool_addr)
         if data is None:
-            self._c_misses.add(1)
+            self._c_misses.value += 1
             return None
         self._lines.move_to_end(pool_addr)
-        self._c_hits.add(1)
+        self._c_hits.value += 1
         return data
 
     def put(self, pool_addr, data):
@@ -63,7 +63,7 @@ class HbmCache:
         self._lines.move_to_end(pool_addr)
         if len(self._lines) > self.capacity_lines:
             victim_addr, victim_data = self._lines.popitem(last=False)
-            self._c_evictions.add(1)
+            self._c_evictions.value += 1
             if self.on_evict is not None:
                 self.on_evict(victim_addr, victim_data)
 
@@ -74,7 +74,7 @@ class HbmCache:
     def invalidate(self, pool_addr):
         """Drop the line (host took ownership; our copy may go stale)."""
         if self._lines.pop(pool_addr, None) is not None:
-            self._c_invalidations.add(1)
+            self._c_invalidations.value += 1
 
     def clear(self):
         """HBM is volatile: a crash empties it."""

@@ -62,8 +62,11 @@ class UndoLogger:
         if self._config.dedup_log_entries and pool_addr in self._logged:
             self._c_dedup_hits.value += 1
             return self._logged[pool_addr]
-        if self.pending_count + self._region.used_entries \
-                >= self._region.capacity_entries:
+        # pending_count + region.used_entries >= region.capacity_entries,
+        # without the three property calls.
+        region = self._region
+        if len(self._pending) + region.write_offset // ENTRY_SIZE \
+                >= region.size // ENTRY_SIZE:
             raise LogError(
                 "undo log capacity exhausted (%d entries this epoch); the "
                 "application must call persist() more often or the pool "
@@ -73,7 +76,7 @@ class UndoLogger:
         self._pending.append(
             _PendingRecord(seq, self.current_epoch, pool_addr, bytes(old_data)))
         self._logged[pool_addr] = seq
-        self._c_records.add(1)
+        self._c_records.value += 1
         if self.tracer is not None:
             self.tracer.on_log_record(pool_addr, seq, self.current_epoch)
         return seq
@@ -105,7 +108,7 @@ class UndoLogger:
         record = self._pending.popleft()
         self._region.append(record.epoch, record.pool_addr, record.old_data)
         self._durable_seq = record.seq
-        self._c_drained.add(1)
+        self._c_drained.value += 1
         if self.tracer is not None:
             self.tracer.on_log_durable(record.seq)
         return ENTRY_SIZE

@@ -72,12 +72,12 @@ class WriteBackCoordinator:
             existing.data = bytes(data)
             existing.seq = max(existing.seq, seq)
             self._buffer.move_to_end(pool_addr)
-            self._c_updates.add(1)
+            self._c_updates.value += 1
             return pumped
         while len(self._buffer) >= self._config.writeback_buffer_lines:
             pumped += self._evict_one()
         self._buffer[pool_addr] = _BufferedLine(data, seq)
-        self._c_insertions.add(1)
+        self._c_insertions.value += 1
         return pumped
 
     # -- eviction under the durability gate ---------------------------------------
@@ -98,9 +98,9 @@ class WriteBackCoordinator:
         pumped = 0
         if not self._undo.is_durable(entry.seq):
             pumped = self._undo.drain_until(entry.seq)
-            self._c_forced_pumps.add(1)
+            self._c_forced_pumps.value += 1
         self._write_to_pm(victim_addr, entry.data)
-        self._c_capacity_evictions.add(1)
+        self._c_capacity_evictions.value += 1
         return pumped
 
     # -- draining -----------------------------------------------------------------
@@ -137,7 +137,7 @@ class WriteBackCoordinator:
     def _write_to_pm(self, pool_addr, data):
         self._pool.device.write(pool_addr, data)
         self._hbm.put(pool_addr, data)
-        self._c_pm_line_writes.add(1)
+        self._c_pm_line_writes.value += 1
 
     def on_crash(self):
         """The buffer is device SRAM: a crash empties it."""

@@ -7,6 +7,8 @@ CXL 2.0 FPGA) and ``enzian`` (the ThunderX-1/ECI prototype whose hop
 latency the paper estimates costs ~2x the CXL version end to end).
 """
 
+import math
+
 from repro.errors import ConfigError
 from repro.sim.bandwidth import BandwidthLimiter
 from repro.util.stats import StatGroup
@@ -16,6 +18,9 @@ class CxlLink:
     """A bidirectional host<->device link with latency and bandwidth."""
 
     def __init__(self, name, clock, one_way_ns, bytes_per_second):
+        if not math.isfinite(one_way_ns):
+            raise ConfigError("link latency must be finite, got %r"
+                              % (one_way_ns,))
         if one_way_ns < 0:
             raise ConfigError("link latency cannot be negative")
         self.name = name

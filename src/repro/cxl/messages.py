@@ -27,11 +27,7 @@ Device-to-host:
 Every message is line-granular: ``addr`` must be 64-byte aligned.
 """
 
-from dataclasses import dataclass
-from typing import Optional
-
 from repro.errors import ProtocolError
-from repro.util.bitops import is_aligned
 from repro.util.constants import CACHE_LINE_SIZE
 
 #: Bytes on the wire for an address-only message (header + addr + CRC).
@@ -39,74 +35,112 @@ HEADER_BYTES = 16
 #: Bytes on the wire for a message carrying one line of data.
 DATA_BYTES = HEADER_BYTES + CACHE_LINE_SIZE
 
+#: Offset-within-line mask: an address is line-aligned iff ``addr &
+#: _LINE_MASK`` is zero.
+_LINE_MASK = CACHE_LINE_SIZE - 1
 
-def _check_line_addr(addr):
-    if not is_aligned(addr, CACHE_LINE_SIZE):
-        raise ProtocolError("CXL messages are line-granular; 0x%x is not "
-                            "64-byte aligned" % addr)
+
+def _misaligned(addr):
+    return ProtocolError("CXL messages are line-granular; 0x%x is not "
+                         "64-byte aligned" % addr)
 
 
 class Message:
-    """Base class; ``wire_bytes`` sizes the link-bandwidth charge."""
+    """Base class; ``wire_bytes`` sizes the link-bandwidth charge.
 
+    Messages are ``__slots__`` classes built once per CXL transaction, so
+    each constructor checks its fields inline. ``_fields`` names the
+    fields ``==`` compares and ``repr`` shows, in order: two messages are
+    equal when they have the same class and equal fields.
+    """
+
+    __slots__ = ()
     wire_bytes = HEADER_BYTES
+    _fields = ()
 
     @property
     def name(self):
         """The message's protocol name (its class name)."""
         return type(self).__name__
 
+    def _values(self):
+        return tuple(getattr(self, field) for field in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (field, getattr(self, field))
+            for field in self._fields))
+
+
+class _AddrMessage(Message):
+    """A message carrying a line address only."""
+
+    __slots__ = ("addr",)
+    _fields = __slots__
+
+    def __init__(self, addr):
+        if addr & _LINE_MASK:
+            raise _misaligned(addr)
+        self.addr = addr
+
+
+class _LineMessage(Message):
+    """A message carrying a line address and exactly one line of data."""
+
+    __slots__ = ("addr", "data")
+    _fields = __slots__
+    wire_bytes = DATA_BYTES
+
+    def __init__(self, addr, data):
+        if addr & _LINE_MASK:
+            raise _misaligned(addr)
+        data = bytes(data)
+        if len(data) != CACHE_LINE_SIZE:
+            raise ProtocolError("%s carries exactly one line"
+                                % type(self).__name__)
+        self.addr = addr
+        self.data = data
+
 
 # -- host-to-device ---------------------------------------------------------
 
-@dataclass
-class RdShared(Message):
+class RdShared(_AddrMessage):
     """Host load miss: request an S copy of ``addr``."""
 
-    addr: int
-
-    def __post_init__(self):
-        _check_line_addr(self.addr)
+    __slots__ = ()
 
 
-@dataclass
 class RdOwn(Message):
     """Host store: request M on ``addr``; ``need_data`` False = upgrade."""
 
-    addr: int
-    need_data: bool = True
+    __slots__ = ("addr", "need_data")
+    _fields = __slots__
 
-    def __post_init__(self):
-        _check_line_addr(self.addr)
+    def __init__(self, addr, need_data=True):
+        if addr & _LINE_MASK:
+            raise _misaligned(addr)
+        self.addr = addr
+        self.need_data = need_data
 
 
-@dataclass
-class DirtyEvict(Message):
+class DirtyEvict(_LineMessage):
     """Host LLC eviction of a modified line; carries the data."""
 
-    addr: int
-    data: bytes
-    wire_bytes = DATA_BYTES
-
-    def __post_init__(self):
-        _check_line_addr(self.addr)
-        self.data = bytes(self.data)
-        if len(self.data) != CACHE_LINE_SIZE:
-            raise ProtocolError("DirtyEvict carries exactly one line")
+    __slots__ = ()
 
 
-@dataclass
-class CleanEvict(Message):
+class CleanEvict(_AddrMessage):
     """Host LLC eviction of a clean line (address-only hint)."""
 
-    addr: int
-
-    def __post_init__(self):
-        _check_line_addr(self.addr)
+    __slots__ = ()
 
 
-@dataclass
-class MemRd(Message):
+class MemRd(_AddrMessage):
     """CXL.mem read: the device is plain memory; no coherence state.
 
     Used by the CXL.mem-mode PAX (paper §6): the host memory controller
@@ -114,92 +148,80 @@ class MemRd(Message):
     caches what.
     """
 
-    addr: int
-
-    def __post_init__(self):
-        _check_line_addr(self.addr)
+    __slots__ = ()
 
 
-@dataclass
-class MemWr(Message):
+class MemWr(_LineMessage):
     """CXL.mem write: a dirty line (or CLWB) arriving at the device."""
 
-    addr: int
-    data: bytes
-    wire_bytes = DATA_BYTES
-
-    def __post_init__(self):
-        _check_line_addr(self.addr)
-        self.data = bytes(self.data)
-        if len(self.data) != CACHE_LINE_SIZE:
-            raise ProtocolError("MemWr carries exactly one line")
+    __slots__ = ()
 
 
 # -- device-to-host ---------------------------------------------------------
 
-@dataclass
 class DataResponse(Message):
     """Completion with data and a granted state ('S' or 'M')."""
 
-    addr: int
-    data: bytes
-    state: str
+    __slots__ = ("addr", "data", "state")
+    _fields = __slots__
     wire_bytes = DATA_BYTES
 
-    def __post_init__(self):
-        _check_line_addr(self.addr)
-        self.data = bytes(self.data)
-        if len(self.data) != CACHE_LINE_SIZE:
+    def __init__(self, addr, data, state):
+        if addr & _LINE_MASK:
+            raise _misaligned(addr)
+        data = bytes(data)
+        if len(data) != CACHE_LINE_SIZE:
             raise ProtocolError("DataResponse carries exactly one line")
-        if self.state not in ("S", "M"):
+        if state not in ("S", "M"):
             raise ProtocolError("granted state must be S or M")
+        self.addr = addr
+        self.data = data
+        self.state = state
 
 
-@dataclass
 class Go(Message):
     """Data-less completion; ``state`` is the granted state ('M') or None."""
 
-    addr: int
-    state: Optional[str] = None
+    __slots__ = ("addr", "state")
+    _fields = __slots__
 
-    def __post_init__(self):
-        _check_line_addr(self.addr)
+    def __init__(self, addr, state=None):
+        if addr & _LINE_MASK:
+            raise _misaligned(addr)
+        self.addr = addr
+        self.state = state
 
 
-@dataclass
-class SnpData(Message):
+class SnpData(_AddrMessage):
     """Device-to-host: downgrade to S and forward the current value."""
 
-    addr: int
-
-    def __post_init__(self):
-        _check_line_addr(self.addr)
+    __slots__ = ()
 
 
-@dataclass
-class SnpInv(Message):
+class SnpInv(_AddrMessage):
     """Device-to-host: invalidate every cached copy."""
 
-    addr: int
-
-    def __post_init__(self):
-        _check_line_addr(self.addr)
+    __slots__ = ()
 
 
-@dataclass
 class SnpResponse(Message):
     """Host reply to a snoop; ``data`` is None when no copy was dirty."""
 
-    addr: int
-    data: Optional[bytes] = None
+    __slots__ = ("addr", "data", "wire_bytes")
+    _fields = ("addr", "data")
 
-    def __post_init__(self):
-        _check_line_addr(self.addr)
-        if self.data is not None:
-            self.data = bytes(self.data)
-            if len(self.data) != CACHE_LINE_SIZE:
+    def __init__(self, addr, data=None):
+        if addr & _LINE_MASK:
+            raise _misaligned(addr)
+        wire_bytes = HEADER_BYTES
+        if data is not None:
+            data = bytes(data)
+            if len(data) != CACHE_LINE_SIZE:
                 raise ProtocolError("SnpResponse data must be one line")
-            self.wire_bytes = DATA_BYTES
+            wire_bytes = DATA_BYTES
+        self.addr = addr
+        self.data = data
+        self.wire_bytes = wire_bytes
 
     @property
     def was_dirty(self):

@@ -33,7 +33,7 @@ class DevicePort:
         self.adapter.check_response(request, response)
         latency += service_ns
         latency += self.link.send_d2h(response)
-        self._c_transactions.add(1)
+        self._c_transactions.value += 1
         return response, latency
 
     def read_shared(self, addr):
@@ -81,7 +81,7 @@ class MemDevicePort:
         latency = self.link.send_h2d(request)
         response, service_ns = self.device.handle_message(request)
         latency += service_ns + self.link.send_d2h(response)
-        self._c_mem_reads.add(1)
+        self._c_mem_reads.value += 1
         return response.data, latency
 
     def write_line(self, addr, data):
@@ -90,7 +90,7 @@ class MemDevicePort:
         latency = self.link.send_h2d(request)
         response, service_ns = self.device.handle_message(request)
         latency += service_ns + self.link.send_d2h(response)
-        self._c_mem_writes.add(1)
+        self._c_mem_writes.value += 1
         return latency
 
 
@@ -117,9 +117,9 @@ class HostSnoopPort:
         fresh = self.hierarchy.snoop_shared(addr)
         response = msg.SnpResponse(addr, fresh)
         latency += self.link.send_h2d(response)
-        self._c_snp_data.add(1)
+        self._c_snp_data.value += 1
         if fresh is not None:
-            self._c_dirty_pulls.add(1)
+            self._c_dirty_pulls.value += 1
         return fresh, latency
 
     def snoop_invalidate(self, addr):
@@ -129,5 +129,5 @@ class HostSnoopPort:
         fresh = self.hierarchy.snoop_invalidate(addr)
         response = msg.SnpResponse(addr, fresh)
         latency += self.link.send_h2d(response)
-        self._c_snp_inv.add(1)
+        self._c_snp_inv.value += 1
         return fresh, latency

@@ -71,7 +71,9 @@ _HOT_PATH_METHODS = {
         "probe", "probe_and_extend", "on_demand_fill", "on_evict",
         "invalidate"}),
     "cache/homes.py": frozenset({"acquire", "writeback"}),
+    "cache/coherence.py": frozenset({"set_state", "drop"}),
     "mem/physical.py": frozenset({"read", "write"}),
+    "mem/address_space.py": frozenset({"read", "write"}),
     "mem/layout.py": frozenset({"get", "set"}),
     "pm/device.py": frozenset({"write"}),
     "pm/log.py": frozenset({"append"}),
@@ -92,6 +94,7 @@ _HOT_PATH_METHODS = {
     "core/writeback.py": frozenset({
         "buffer_line", "_evict_one", "drain_budget", "_write_to_pm"}),
     "core/hbm.py": frozenset({"get", "put", "invalidate"}),
+    "libpax/machine.py": frozenset({"acquire", "writeback"}),
     "structures/hashmap.py": frozenset({
         "put", "get", "remove", "_bucket_addr"}),
     "baselines/base.py": frozenset({"put", "get", "remove"}),
@@ -104,6 +107,23 @@ _HOT_PATH_METHODS = {
 
 #: Method names on a stats group whose call-per-event is the smell.
 _STAT_FACTORIES = frozenset({"counter", "histogram"})
+
+#: Attribute-name prefix of a counter bound at construction time
+#: (``self._c_loads = self.stats.counter("loads")``).
+_BOUND_COUNTER_PREFIX = "_c_"
+
+
+def _hot_functions(ctx):
+    """The functions of this file listed in :data:`_HOT_PATH_METHODS`."""
+    for suffix, methods in _HOT_PATH_METHODS.items():
+        if ctx.in_package(suffix):
+            break
+    else:
+        return
+    for func in ast.walk(ctx.tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and func.name in methods:
+            yield func
 
 
 def _exception_name(node):
@@ -206,18 +226,7 @@ def check_hot_path_stat_lookup(ctx):
     binding. Cold methods of the same classes (crash hooks, recovery
     scans, reports) may keep the readable string-keyed form.
     """
-    hot_methods = None
-    for suffix, methods in _HOT_PATH_METHODS.items():
-        if ctx.in_package(suffix):
-            hot_methods = methods
-            break
-    if hot_methods is None:
-        return
-    for func in ast.walk(ctx.tree):
-        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if func.name not in hot_methods:
-            continue
+    for func in _hot_functions(ctx):
         for node in ast.walk(func):
             if not isinstance(node, ast.Call):
                 continue
@@ -237,6 +246,40 @@ def check_hot_path_stat_lookup(ctx):
             yield (node.lineno, node.col_offset,
                    "stat lookup by name inside hot method %s(); bind the "
                    "%s at construction time" % (func.name, callee.attr))
+
+
+@rule("hot-path-counter-call",
+      "bump bound counters with .value += n inside per-access hot paths")
+def check_hot_path_counter_call(ctx):
+    """Flag ``self._c_x.add(1)``-style calls inside the hot methods.
+
+    ``Counter.add`` only adds a guard against negative amounts, which is
+    dead for a non-negative integer literal; the call itself is a Python
+    frame paid on every simulated event. ``self._c_x.value += 1`` does
+    the same bump inline (docs/performance.md, rule 1). Only attributes
+    named ``_c_*`` count as bound counters, so ``set.add`` is never
+    flagged, and computed amounts (which the guard does check) pass.
+    """
+    for func in _hot_functions(ctx):
+        for node in ast.walk(func):
+            if not isinstance(node, ast.Call) or len(node.args) != 1 \
+                    or node.keywords:
+                continue
+            callee = node.func
+            if not isinstance(callee, ast.Attribute) or callee.attr != "add":
+                continue
+            receiver = callee.value
+            if not isinstance(receiver, ast.Attribute) \
+                    or not receiver.attr.startswith(_BOUND_COUNTER_PREFIX):
+                continue
+            amount = node.args[0]
+            if isinstance(amount, ast.Constant) \
+                    and type(amount.value) is int and amount.value >= 0:
+                yield (node.lineno, node.col_offset,
+                       "%s.add(%d) inside hot method %s(); write "
+                       "%s.value += %d" % (receiver.attr, amount.value,
+                                           func.name, receiver.attr,
+                                           amount.value))
 
 
 @rule("mutable-default",

@@ -17,6 +17,8 @@ import bisect
 from repro.errors import AddressError, ConfigError
 from repro.util.constants import PAGE_SIZE
 
+_bisect_right = bisect.bisect_right
+
 
 class Mapping:
     """One entry in the address map: ``[base, base+size)`` -> device."""
@@ -85,13 +87,35 @@ class AddressSpace:
 
     def read(self, addr, length):
         """Read ``length`` bytes at physical ``addr``."""
+        # resolve() inlined for an access wholly inside one mapping
+        # (bisect puts the mapping's base at or below ``addr``); any
+        # other access takes resolve() for its AddressError.
+        index = _bisect_right(self._bases, addr) - 1
+        if index >= 0 and length > 0:
+            mapping = self._mappings[index]
+            offset = addr - mapping.base
+            if offset + length <= mapping.size:
+                return mapping.device.read(offset, length)
         mapping, offset = self.resolve(addr, length)
         return mapping.device.read(offset, length)
 
     def write(self, addr, data):
-        """Write ``data`` at physical ``addr``."""
+        """Write ``data`` at physical ``addr``.
+
+        A zero-length write must still land inside a mapping, as if it
+        were one byte long.
+        """
         data = bytes(data)
-        mapping, offset = self.resolve(addr, max(1, len(data)))
+        length = len(data) or 1
+        # resolve() inlined, as in read().
+        index = _bisect_right(self._bases, addr) - 1
+        if index >= 0:
+            mapping = self._mappings[index]
+            offset = addr - mapping.base
+            if offset + length <= mapping.size:
+                mapping.device.write(offset, data)
+                return
+        mapping, offset = self.resolve(addr, length)
         mapping.device.write(offset, data)
 
     def mappings(self):

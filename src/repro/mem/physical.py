@@ -44,7 +44,10 @@ class MemoryDevice:
 
     def read(self, offset, length):
         """Return ``length`` bytes starting at device-relative ``offset``."""
-        self._check_range(offset, length)
+        # The in-range test inline; only a bad access calls the helper,
+        # which raises its AddressError.
+        if length < 0 or offset < 0 or offset + length > self.size:
+            self._check_range(offset, length)
         self._c_reads.value += 1
         self._c_bytes_read.value += length
         return bytes(self._data[offset:offset + length])
@@ -53,7 +56,8 @@ class MemoryDevice:
         """Store ``data`` at device-relative ``offset``."""
         data = bytes(data)
         size = len(data)
-        self._check_range(offset, size)
+        if offset < 0 or offset + size > self.size:
+            self._check_range(offset, size)
         self._c_writes.value += 1
         self._c_bytes_written.value += size
         self._data[offset:offset + size] = data

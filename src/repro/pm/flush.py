@@ -9,8 +9,12 @@ incurred several times per logical operation, are what PAX eliminates.
 them, so benchmarks can report both time and flush counts.
 """
 
-from repro.util.bitops import lines_covering
+from repro.errors import AddressError
+from repro.util.constants import CACHE_LINE_SIZE
 from repro.util.stats import StatGroup
+
+#: log2(line size): ``addr >> _LINE_SHIFT`` is the line number of ``addr``.
+_LINE_SHIFT = CACHE_LINE_SIZE.bit_length() - 1
 
 
 class FlushModel:
@@ -32,20 +36,26 @@ class FlushModel:
         Charges the issue cost per line plus the PM write latency for the
         final line (CLWBs pipeline; the trailing SFENCE pays the rest).
         """
-        lines = lines_covering(addr, length)
-        if not lines:
+        if length <= 0:
+            if length < 0:
+                raise AddressError("size must be non-negative, got %d"
+                                   % length)
             return 0.0
-        cost = len(lines) * self._lat.software.clwb_ns
-        self._c_clwb_lines.add(len(lines))
+        # The number of lines repro.util.bitops.lines_covering would
+        # list, counted without building the list.
+        lines = (((addr + length - 1) >> _LINE_SHIFT)
+                 - (addr >> _LINE_SHIFT) + 1)
+        cost = lines * self._lat.software.clwb_ns
+        self._c_clwb_lines.value += lines
         if self.tracer is not None:
-            self.tracer.on_clwb(addr, len(lines))
+            self.tracer.on_clwb(addr, lines)
         self._clock.advance(cost)
         return cost
 
     def sfence(self):
         """Order prior write-backs; stall until they reach the ADR domain."""
         cost = self._lat.software.sfence_ns + self._lat.media.pm_write_ns
-        self._c_sfences.add(1)
+        self._c_sfences.value += 1
         if self.tracer is not None:
             self.tracer.on_fence()
         self._clock.advance(cost)

@@ -35,7 +35,6 @@ mistaken for live ones.
 import struct
 
 from repro.errors import LogError
-from repro.util.bitops import is_aligned
 from repro.util.checksum import crc32c
 from repro.util.constants import CACHE_LINE_SIZE
 from repro.util.stats import StatGroup
@@ -47,7 +46,10 @@ _PREFIX = struct.Struct("<IHHQQ")      # magic, len, pad, epoch, addr
 _CRC = struct.Struct("<I")
 _CRC_OFFSET = _PREFIX.size + CACHE_LINE_SIZE
 _TAIL = bytes(ENTRY_SIZE - _CRC_OFFSET - _CRC.size)
+#: A zeroed entry header: written past the tail so a scan stops there.
+POISON = bytes(_PREFIX.size)
 _U64_LIMIT = 1 << 64
+_LINE_MASK = CACHE_LINE_SIZE - 1
 
 #: Entries :func:`encode_entry` keeps before it empties its memo. Sized
 #: from ``specs/full-grid.toml``: its 80 cells encode 19,025 distinct
@@ -98,7 +100,7 @@ def encode_entry(epoch, addr, data):
         raise LogError("undo entry epoch must be a u64, got %r" % (epoch,))
     if not isinstance(addr, int) or not 0 <= addr < _U64_LIMIT:
         raise LogError("undo entry address must be a u64, got %r" % (addr,))
-    if not is_aligned(addr, CACHE_LINE_SIZE):
+    if addr & _LINE_MASK:
         raise LogError("undo entries target line-aligned addresses")
     key = (epoch, addr, data)
     blob = _ENCODED.get(key)
@@ -200,7 +202,7 @@ class UndoLogRegion:
 
     def append(self, epoch, addr, data):
         """Durably append one entry; returns its region-relative offset."""
-        if self.is_full:
+        if self.write_offset + ENTRY_SIZE > self.size:      # is_full
             raise LogError(
                 "undo log full (%d entries); call persist() more often or "
                 "grow the log region" % self.used_entries)
@@ -211,10 +213,9 @@ class UndoLogRegion:
         # Poison the next entry's header so a recovery scan terminates at
         # the true tail instead of resurrecting stale pre-reset entries.
         if self.write_offset + ENTRY_SIZE <= self.size:
-            self.device.write(self.base + self.write_offset,
-                              bytes(_PREFIX.size))
-        self._c_appends.add(1)
-        self._c_bytes.add(ENTRY_SIZE)
+            self.device.write(self.base + self.write_offset, POISON)
+        self._c_appends.value += 1
+        self._c_bytes.value += ENTRY_SIZE
         return offset
 
     def reset(self):
@@ -222,7 +223,7 @@ class UndoLogRegion:
         # Poison the first header so a recovery scan of the rewound log
         # terminates immediately; old entry bodies beyond it are unreachable
         # because scanning stops at the first invalid header.
-        self.device.write(self.base, bytes(_PREFIX.size))
+        self.device.write(self.base, POISON)
         self.write_offset = 0
         self.stats.counter("resets").add(1)
 

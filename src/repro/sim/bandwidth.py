@@ -13,6 +13,8 @@ simple fluid model: the medium drains at ``bytes_per_second``; a transfer
 arriving while backlog exists waits for its share of the backlog to drain.
 """
 
+import math
+
 from repro.errors import ConfigError, SimulationError
 from repro.util.stats import StatGroup
 
@@ -33,8 +35,8 @@ class BandwidthMeter:
         """Account ``num_bytes`` moved at the current simulated time."""
         if num_bytes < 0:
             raise SimulationError("cannot transfer negative bytes")
-        self._c_bytes.add(num_bytes)
-        self._c_transfers.add(1)
+        self._c_bytes.value += num_bytes
+        self._c_transfers.value += 1
 
     @property
     def bytes_moved(self):
@@ -58,6 +60,9 @@ class BandwidthLimiter:
     """
 
     def __init__(self, name, clock, bytes_per_second):
+        if not math.isfinite(bytes_per_second):
+            raise ConfigError("bandwidth must be finite for %s, got %r"
+                              % (name, bytes_per_second))
         if bytes_per_second <= 0:
             raise ConfigError("bandwidth must be positive for %s" % name)
         self.name = name
@@ -72,21 +77,24 @@ class BandwidthLimiter:
         self._c_stalled = self.stats.counter("stalled_transfers")
         self._h_queue_delay = self.stats.histogram("queue_delay_ns")
 
-    def _drain(self):
+    def submit(self, num_bytes):
+        """Queue a transfer; return queueing delay in nanoseconds.
+
+        First drains the backlog for the simulated time elapsed since
+        the last drain, reading the clock once.
+        """
+        if num_bytes < 0:
+            raise SimulationError("cannot transfer negative bytes")
+        backlog = self._backlog_bytes
         now = self._clock.now_ns
         elapsed_ns = now - self._last_ns
         if elapsed_ns > 0:
-            drained = self._rate * elapsed_ns / 1e9
-            self._backlog_bytes = max(0.0, self._backlog_bytes - drained)
+            backlog -= self._rate * elapsed_ns / 1e9
+            if not backlog > 0.0:
+                backlog = 0.0
             self._last_ns = now
-
-    def submit(self, num_bytes):
-        """Queue a transfer; return queueing delay in nanoseconds."""
-        if num_bytes < 0:
-            raise SimulationError("cannot transfer negative bytes")
-        self._drain()
-        delay_ns = self._backlog_bytes * 1e9 / self._rate
-        self._backlog_bytes += num_bytes
+        delay_ns = backlog * 1e9 / self._rate
+        self._backlog_bytes = backlog + num_bytes
         self._c_bytes.value += num_bytes
         self._c_transfers.value += 1
         if delay_ns > 0:
@@ -96,9 +104,19 @@ class BandwidthLimiter:
 
     @property
     def backlog_bytes(self):
-        """Current un-drained backlog (after accounting elapsed time)."""
-        self._drain()
-        return self._backlog_bytes
+        """Current un-drained backlog (after accounting elapsed time).
+
+        The drain :meth:`submit` would apply now, computed without
+        storing it: reading the backlog between transfers cannot change
+        the rounding of later delays.
+        """
+        backlog = self._backlog_bytes
+        elapsed_ns = self._clock.now_ns - self._last_ns
+        if elapsed_ns > 0:
+            backlog -= self._rate * elapsed_ns / 1e9
+            if not backlog > 0.0:
+                backlog = 0.0
+        return backlog
 
     def service_time_ns(self, num_bytes):
         """Pure transfer time of ``num_bytes`` at the drain rate."""

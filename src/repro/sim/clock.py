@@ -23,14 +23,12 @@ class SimClock:
     def __init__(self, start_ns=0):
         if start_ns < 0:
             raise ConfigError("clock cannot start before time zero")
-        self._now_ns = start_ns
+        #: Current simulated time in nanoseconds. A plain attribute, so
+        #: per-event readers (bandwidth limiters, tracers) pay no call;
+        #: only :meth:`advance` writes it.
+        self.now_ns = start_ns
         self._callbacks = []
         self._in_callback = False
-
-    @property
-    def now_ns(self):
-        """Current simulated time in nanoseconds."""
-        return self._now_ns
 
     def advance(self, delta_ns):
         """Move time forward by ``delta_ns`` and run background callbacks."""
@@ -38,9 +36,9 @@ class SimClock:
             raise SimulationError(
                 "time cannot move backwards (delta=%r)" % (delta_ns,))
         if delta_ns == 0:
-            return self._now_ns
-        previous = self._now_ns
-        self._now_ns = previous + delta_ns
+            return self.now_ns
+        previous = self.now_ns
+        self.now_ns = previous + delta_ns
         if self._callbacks and not self._in_callback:
             # Guard against re-entrant advancement from inside a callback;
             # background work observes time but must not create more of it
@@ -48,10 +46,10 @@ class SimClock:
             self._in_callback = True
             try:
                 for callback in self._callbacks:
-                    callback(previous, self._now_ns)
+                    callback(previous, self.now_ns)
             finally:
                 self._in_callback = False
-        return self._now_ns
+        return self.now_ns
 
     def on_advance(self, callback):
         """Register ``callback(prev_ns, now_ns)`` to run on every advance."""
@@ -63,7 +61,7 @@ class SimClock:
             self._callbacks.remove(callback)
 
     def __repr__(self):
-        return "SimClock(now=%d ns)" % self._now_ns
+        return "SimClock(now=%d ns)" % self.now_ns
 
 
 class StopWatch:

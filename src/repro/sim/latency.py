@@ -19,9 +19,24 @@ chosen from the public numbers so the *ratios* in Fig 2a reproduce. All of
 them are plain dataclass fields, so ablation benchmarks can sweep them.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 from repro.errors import ConfigError
+
+
+def _check_finite(model):
+    """Raise :class:`ConfigError` naming the first NaN or infinite field.
+
+    NaN compares false against every bound, so the range checks below
+    would let it through; one NaN latency turns the simulated clock into
+    NaN on the first access that charges it.
+    """
+    for item in fields(model):
+        value = getattr(model, item.name)
+        if not math.isfinite(value):
+            raise ConfigError("%s.%s must be finite, got %r"
+                              % (type(model).__name__, item.name, value))
 
 
 @dataclass
@@ -35,6 +50,7 @@ class CacheLatency:
 
     def validate(self):
         """Raise :class:`ConfigError` on invalid cache latencies."""
+        _check_finite(self)
         if not (0 < self.l1_ns <= self.l2_ns <= self.llc_ns):
             raise ConfigError("cache latencies must be positive and ordered")
         if self.cross_core_ns < 0:
@@ -52,6 +68,7 @@ class MediaLatency:
 
     def validate(self):
         """Raise :class:`ConfigError` on invalid media latencies."""
+        _check_finite(self)
         if min(self.dram_ns, self.pm_read_ns, self.pm_write_ns, self.hbm_ns) <= 0:
             raise ConfigError("media latencies must be positive")
 
@@ -68,6 +85,7 @@ class LinkLatency:
 
     def validate(self):
         """Raise :class:`ConfigError` on invalid link latencies."""
+        _check_finite(self)
         if self.cxl_ns < 0 or self.enzian_ns < 0 or self.smp_ns < 0:
             raise ConfigError("link latencies cannot be negative")
 
@@ -84,6 +102,7 @@ class Bandwidth:
 
     def validate(self):
         """Raise :class:`ConfigError` on invalid bandwidths."""
+        _check_finite(self)
         values = (self.dram_bps, self.pm_read_bps, self.pm_write_bps,
                   self.cxl_bps, self.enzian_bps)
         if min(values) <= 0:
@@ -102,6 +121,7 @@ class SoftwareCosts:
 
     def validate(self):
         """Raise :class:`ConfigError` on invalid software costs."""
+        _check_finite(self)
         if min(self.page_fault_ns, self.sfence_ns, self.clwb_ns,
                self.log_append_cpu_ns, self.syscall_ns) < 0:
             raise ConfigError("software costs cannot be negative")

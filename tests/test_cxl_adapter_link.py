@@ -79,6 +79,36 @@ class TestResponseChecking:
             is msg.Go
 
 
+LINE = bytes(64)
+REQUESTS = [
+    msg.RdShared(0x40), msg.RdOwn(0x40, need_data=True),
+    msg.RdOwn(0x40, need_data=False), msg.DirtyEvict(0x40, LINE),
+    msg.CleanEvict(0x40), msg.MemRd(0x40), msg.MemWr(0x40, LINE),
+]
+RESPONSES = [
+    msg.DataResponse(0x40, LINE, "S"), msg.DataResponse(0x40, LINE, "M"),
+    msg.DataResponse(0x80, LINE, "S"), msg.DataResponse(0x80, LINE, "M"),
+    msg.Go(0x40), msg.Go(0x40, "M"), msg.Go(0x80), msg.Go(0x80, "M"),
+    msg.SnpResponse(0x40), msg.SnpData(0x40), msg.RdShared(0x40),
+]
+#: (request index, response index) pairs the protocol accepts; every
+#: other pair must raise ProtocolError.
+WELL_FORMED = {(0, 0), (1, 1), (2, 4), (2, 5), (3, 4), (3, 5), (4, 4),
+               (4, 5)}
+
+
+@pytest.mark.parametrize("req", range(len(REQUESTS)))
+@pytest.mark.parametrize("resp", range(len(RESPONSES)))
+def test_check_response_accepts_exactly_the_well_formed_answers(req, resp):
+    adapter = CxlAdapter()
+    request, response = REQUESTS[req], RESPONSES[resp]
+    if (req, resp) in WELL_FORMED:
+        assert adapter.check_response(request, response) is response
+    else:
+        with pytest.raises(ProtocolError):
+            adapter.check_response(request, response)
+
+
 class TestLink:
     def test_presets(self):
         clock = SimClock()
@@ -90,6 +120,12 @@ class TestLink:
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
             CxlLink.from_model("nvlink", SimClock(), default_model())
+
+    @pytest.mark.parametrize("one_way_ns", [float("nan"), float("inf"),
+                                            float("-inf")])
+    def test_non_finite_latency_rejected(self, one_way_ns):
+        with pytest.raises(ConfigError, match="must be finite"):
+            CxlLink("t", SimClock(), one_way_ns, 63e9)
 
     def test_hop_latency(self):
         link = CxlLink("t", SimClock(), 50, 1e12)

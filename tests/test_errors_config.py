@@ -50,3 +50,17 @@ class TestPaxConfig:
 
     def test_hbm_zero_is_valid_ablation(self):
         assert PaxConfig(hbm_lines=0).validate().hbm_lines == 0
+
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("name", [
+    "hbm_lines", "writeback_buffer_lines", "log_drain_bps",
+    "writeback_drain_bps", "device_processing_ns"])
+def test_pax_config_non_finite_rejected(name, value):
+    config = PaxConfig()
+    setattr(config, name, value)
+    with pytest.raises(errors.ConfigError, match="must be finite"):
+        config.validate()

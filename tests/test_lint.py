@@ -143,6 +143,87 @@ def test_hot_path_stat_lookup_honours_suppression():
                         selected=["hot-path-stat-lookup"]) == []
 
 
+# -- hot-path-counter-call --------------------------------------------------
+
+def test_hot_path_counter_call_flags_literal_adds_on_bound_counters():
+    source = (
+        "class Hierarchy:\n"
+        "    def load(self, addr):\n"
+        "        self._c_loads.add(1)\n"
+        "        l1._c_hits.add(0)\n"
+        "        self._c_bytes.add(64)\n"
+    )
+    found = findings_for(source, path="src/repro/cache/hierarchy.py",
+                         selected=["hot-path-counter-call"])
+    assert found == [("hot-path-counter-call", 3),
+                     ("hot-path-counter-call", 4),
+                     ("hot-path-counter-call", 5)]
+
+
+def test_hot_path_counter_call_allows_value_bumps_and_checked_amounts():
+    source = (
+        "class Hierarchy:\n"
+        "    def load(self, addr, n):\n"
+        "        self._c_loads.value += 1\n"
+        "        self._c_bytes.add(n)\n"
+        "        self._c_bytes.add(len(addr))\n"
+        "        self._c_bytes.add(-1)\n"
+        "        self._c_flag.add(True)\n"
+        "        self._seen.add(1)\n"
+        "        seen.add(1)\n"
+        "        self.stats.counter('loads').add(1)\n"
+    )
+    assert findings_for(source, path="src/repro/cache/hierarchy.py",
+                        selected=["hot-path-counter-call"]) == []
+
+
+def test_hot_path_counter_call_scoped_to_hot_methods_and_files():
+    cold_method = (
+        "class Hierarchy:\n"
+        "    def drop_all(self):\n"
+        "        self._c_drops.add(1)\n"
+    )
+    assert findings_for(cold_method, path="src/repro/cache/hierarchy.py",
+                        selected=["hot-path-counter-call"]) == []
+    cold_file = (
+        "class Report:\n"
+        "    def load(self, addr):\n"
+        "        self._c_loads.add(1)\n"
+    )
+    assert findings_for(cold_file, path="src/repro/report/tables.py",
+                        selected=["hot-path-counter-call"]) == []
+
+
+@pytest.mark.parametrize("path, method", [
+    ("src/repro/mem/address_space.py", "read"),
+    ("src/repro/mem/address_space.py", "write"),
+    ("src/repro/cache/coherence.py", "set_state"),
+    ("src/repro/cache/coherence.py", "drop"),
+    ("src/repro/libpax/machine.py", "acquire"),
+    ("src/repro/libpax/machine.py", "writeback"),
+])
+def test_hot_path_map_covers_the_miss_side_seams(path, method):
+    source = (
+        "class Seam:\n"
+        "    def %s(self, *args):\n"
+        "        self._c_calls.add(1)\n"
+        "        self.stats.counter('calls').add(1)\n" % method
+    )
+    assert findings_for(source, path=path) == [
+        ("hot-path-counter-call", 3), ("hot-path-stat-lookup", 4)]
+
+
+def test_hot_path_counter_call_honours_suppression():
+    source = (
+        "class Hierarchy:\n"
+        "    def load(self, addr):\n"
+        "        self._c_loads.add(1)"
+        "  # lint: ignore[hot-path-counter-call]\n"
+    )
+    assert findings_for(source, path="src/repro/cache/hierarchy.py",
+                        selected=["hot-path-counter-call"]) == []
+
+
 # -- mutable-default --------------------------------------------------------
 
 def test_mutable_default_flags_literals_and_constructors():
@@ -244,7 +325,8 @@ def test_unknown_selected_rule_raises_lint_error():
 def test_rule_catalogue_is_registered():
     rules = all_rules()
     assert {"typed-errors", "pm-direct-write", "sim-determinism",
-            "mutable-default", "hot-path-stat-lookup"} <= set(rules)
+            "mutable-default", "hot-path-stat-lookup",
+            "hot-path-counter-call"} <= set(rules)
     for rule_obj in rules.values():
         assert rule_obj.summary
 

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ConfigError, SimulationError
 from repro.sim.bandwidth import BandwidthLimiter, BandwidthMeter
 from repro.sim.clock import SimClock
+from repro.sim.rng import DeterministicRng
 
 
 class TestMeter:
@@ -64,3 +65,53 @@ class TestLimiter:
         limiter.submit(100)
         limiter.submit(100)
         assert limiter.stats.get("stalled_transfers") == 1
+
+
+def _delays(rate, seed, read_backlog):
+    """Submit a seeded random burst pattern; return every delay's bits.
+
+    Simulated time advances twice between transfers; with
+    ``read_backlog`` the backlog is read in between.
+    """
+    rng = DeterministicRng(seed)
+    clock = SimClock()
+    limiter = BandwidthLimiter("l", clock, rate)
+    delays = []
+    for _step in range(40):
+        clock.advance(rng.random() * 40.0)
+        if read_backlog:
+            limiter.backlog_bytes
+        clock.advance(rng.random() * 40.0)
+        delays.append(limiter.submit(rng.choice((16, 64, 80, 96))).hex())
+    return delays
+
+
+class TestBacklogIsAPureRead:
+    @pytest.mark.parametrize("rate", [1e9, 16e9])
+    def test_interleaved_reads_leave_every_delay_bit_identical(self, rate):
+        for seed in range(300):
+            assert _delays(rate, seed, True) == _delays(rate, seed, False), \
+                "seed %d" % seed
+
+    def test_reading_twice_agrees(self):
+        clock = SimClock()
+        limiter = BandwidthLimiter("l", clock, 1e9)
+        limiter.submit(1000)
+        clock.advance(333.3)
+        first = limiter.backlog_bytes
+        assert limiter.backlog_bytes == first == pytest.approx(666.7)
+
+    def test_backlog_matches_the_next_submit(self):
+        clock = SimClock()
+        limiter = BandwidthLimiter("l", clock, 1e9)
+        limiter.submit(1000)
+        clock.advance(250.5)
+        backlog = limiter.backlog_bytes
+        assert limiter.submit(0) == backlog * 1e9 / 1e9
+
+
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"),
+                                  float("-inf")])
+def test_non_finite_rate_rejected(rate):
+    with pytest.raises(ConfigError, match="must be finite"):
+        BandwidthLimiter("l", SimClock(), rate)

@@ -1,5 +1,7 @@
 """Latency model validation and the paper's constants."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ConfigError
@@ -7,8 +9,25 @@ from repro.sim.latency import (
     Bandwidth,
     CacheLatency,
     LatencyModel,
+    LinkLatency,
+    MediaLatency,
+    SoftwareCosts,
     default_model,
 )
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+def _fields(cls):
+    return [item.name for item in dataclasses.fields(cls)]
+
+
+def _rejects(group, name, value):
+    """Set one field of a default model to ``value``; it must not validate."""
+    model = LatencyModel()
+    setattr(getattr(model, group), name, value)
+    with pytest.raises(ConfigError, match="must be finite"):
+        model.validate()
 
 
 class TestDefaults:
@@ -58,3 +77,40 @@ class TestLinkLookup:
     def test_unknown_link_rejected(self):
         with pytest.raises(ConfigError):
             default_model().link_one_way_ns("infiniband")
+
+
+class TestNonFiniteRejected:
+    """NaN passes every range check by comparing false; inf passes the
+    sign checks. Both must fail validation, in every field group."""
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("name", _fields(CacheLatency))
+    def test_cache(self, name, value):
+        _rejects("cache", name, value)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("name", _fields(MediaLatency))
+    def test_media(self, name, value):
+        _rejects("media", name, value)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("name", _fields(LinkLatency))
+    def test_link(self, name, value):
+        _rejects("link", name, value)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("name", _fields(Bandwidth))
+    def test_bandwidth(self, name, value):
+        _rejects("bandwidth", name, value)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("name", _fields(SoftwareCosts))
+    def test_software(self, name, value):
+        _rejects("software", name, value)
+
+    def test_machine_refuses_a_nan_link_before_any_access(self):
+        from repro.libpax.machine import PaxMachine
+        model = LatencyModel()
+        model.link.cxl_ns = float("nan")
+        with pytest.raises(ConfigError, match="cxl_ns must be finite"):
+            PaxMachine(pool_size=1 << 20, log_size=1 << 16, latency=model)
