@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench examples quicktest lint staticcheck \
+.PHONY: install test bench examples quicktest lint \
 	fuzz fuzz-smoke perfbench \
 	perfbench-compare replay-smoke obs-smoke obs-overhead chaos-smoke \
 	sweep sweep-smoke clean
@@ -19,14 +19,12 @@ quicktest:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
-# Static analysis: project-specific AST lint rules over the simulator
-# sources (typed errors, PM write discipline, determinism), then the
-# flow-aware checkers (persist-order dominance, determinism taint,
-# PM-escape) against the committed baseline; see docs/analysis-tools.md.
-lint: staticcheck
-	PYTHONPATH=src $(PYTHON) -m repro.lint src/
-
-staticcheck:
+# Static analysis: every checker over the simulator sources, whole-
+# program, against the committed baseline -- the syntactic rules (typed
+# errors, PM write discipline, determinism, hot-path counters) and the
+# flow checkers (persist-order dominance, determinism taint, PM-escape);
+# see docs/analysis-tools.md.
+lint:
 	PYTHONPATH=src $(PYTHON) -m repro.staticcheck src/repro
 
 # Crash-consistency fuzzing (crash point x fault plan x structure); see

@@ -368,38 +368,6 @@ def run_fuzz(iterations=500, seed=1234, allow_link=True, progress=None,
     return stats
 
 
-def record_witness_trace(path, seed=1234, ops=48):
-    """Record a witness trace for the staticcheck witness pass.
-
-    Runs a seeded put/remove workload on a fresh ``pax`` backend and
-    deliberately stops *without* a final ``persist()``, so the trace
-    ends with unprotected PM stores — exactly the crash window the
-    static persist-order findings warn about. Feeding the written file
-    to ``python -m repro.staticcheck --witness-trace`` upgrades the
-    findings it reaches to ``confirmed``.
-    """
-    from repro.baselines.pax import make_backend
-    from repro.replay.recorder import record
-
-    rng = DeterministicRng(seed)
-    backend = make_backend("pax", pool_size=POOL_SIZE, log_size=LOG_SIZE,
-                           capacity=BACKEND_CAPACITY, **_small_caches())
-
-    def drive(live, _recorder):
-        for index in range(ops):
-            key = rng.randint(0, KEY_SPACE - 1)
-            if rng.random() < 0.75:
-                live.put(key, index)
-            else:
-                live.remove(key)
-        # No trailing persist: the final stores stay unprotected.
-
-    trace = record(backend, drive, meta={"seed": seed, "ops": ops,
-                                         "witness": True})
-    trace.save(path)
-    return trace
-
-
 def main(argv=None):
     """CLI entry point; returns the process exit code (1 on failures)."""
     parser = argparse.ArgumentParser(
@@ -424,18 +392,7 @@ def main(argv=None):
                         help="trace every iteration into one repro.obs "
                              "ring and write it as a JSONL trace "
                              "(pool target only)")
-    parser.add_argument("--witness-out", metavar="PATH",
-                        help="record a seeded pax workload ending in "
-                             "unprotected stores as a replay trace at "
-                             "PATH (for staticcheck --witness-trace) "
-                             "and exit")
     args = parser.parse_args(argv)
-    if args.witness_out:
-        trace = record_witness_trace(args.witness_out, seed=args.seed)
-        print("wrote %s (%d events, backend %s)"
-              % (args.witness_out, len(trace),
-                 trace.footer.get("backend")))
-        return 0
     if args.trace and args.target != "pool":
         parser.error("--trace only supports --target pool")
     tracer = None

@@ -14,7 +14,7 @@ Subcommands:
   tolerance of untraced and that simulated time is identical across all
   three (the "tracing never perturbs the simulation" guarantee).
 
-Exit codes follow the repro CLI contract shared with ``repro.lint`` and
+Exit codes follow the repro CLI contract shared with
 ``repro.staticcheck``: 0 success, 1 findings/failures, 2 usage or I/O
 errors surfaced as :class:`~repro.errors.ConfigError`.
 """

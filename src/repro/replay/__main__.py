@@ -78,24 +78,6 @@ def _cmd_verify(args):
     return 0
 
 
-def _cmd_coverage(args):
-    from repro.replay.coverage import coverage
-    trace = load_trace(args.trace)
-    report = coverage(trace)
-    print("backend:          %s" % trace.footer.get("backend"))
-    print("PM stores:        %d" % report.stores)
-    print("  wal-protected:  %d" % report.wal_protected)
-    print("  persist-retired:%d" % report.persist_retired)
-    print("  exposed:        %d" % report.exposed)
-    print("wal windows:      %d" % report.wal_windows)
-    print("persists:         %d" % report.persists)
-    print("verdict:          %s"
-          % ("safe (crash at end loses nothing)" if report.safe
-             else "UNSAFE (%d store(s) lost by a crash at end)"
-             % report.exposed))
-    return 0 if report.safe else 1
-
-
 def main(argv=None):
     """Dispatch a replay subcommand; return a process exit code."""
     parser = argparse.ArgumentParser(
@@ -123,12 +105,6 @@ def main(argv=None):
                          help="replay once and check the footer's sim_ns")
     ver.add_argument("trace")
     ver.set_defaults(func=_cmd_verify)
-
-    cov = sub.add_parser("coverage",
-                         help="store-protection breakdown (exit 1 if a "
-                              "crash at end-of-trace would lose stores)")
-    cov.add_argument("trace")
-    cov.set_defaults(func=_cmd_coverage)
 
     args = parser.parse_args(argv)
     try:

@@ -1,6 +1,6 @@
 """Dynamic persistency sanitizers (PaxSan / WalSan).
 
-Runtime complement to the static linter (:mod:`repro.lint`): the linter
+Runtime complement to static analysis (:mod:`repro.staticcheck`), which
 catches bug *patterns* in the source; the sanitizers catch persist-order
 violations as they *happen* in a simulation, by shadowing every PM cache
 line with a persist-state machine (clean → dirty-in-cache → logged →

@@ -1,10 +1,31 @@
-"""Flow-aware static analysis for the repro codebase.
+"""Static analysis for the repro codebase: one registry, one CLI.
 
-``python -m repro.staticcheck src/repro`` builds a per-function CFG
-(:mod:`repro.staticcheck.cfg`), runs forward dataflow over it
-(:mod:`repro.staticcheck.dataflow`) plus a module-level call graph
-(:mod:`repro.staticcheck.callgraph`), and applies the checker catalogue
-(:mod:`repro.staticcheck.checkers`):
+``python -m repro.staticcheck src/repro`` runs every registered checker
+over every file, whole-program, against the committed baseline.
+Syntactic rules (:mod:`repro.staticcheck.rules`) match single AST
+nodes:
+
+``typed-errors``
+    Raise :class:`~repro.errors.ReproError` subclasses, never bare
+    builtins, so callers can catch one base class.
+``pm-direct-write``
+    Only sanctioned modules may write the PM device directly; everything
+    else must go through the cache hierarchy or an accessor, or PaxSan
+    (and the paper's write-interposition argument) loses visibility.
+``sim-determinism``
+    No wall-clock or ambient randomness in simulation code; time comes
+    from ``sim.clock`` and randomness from ``sim.rng``.
+``mutable-default``
+    No mutable default arguments.
+``hot-path-stat-lookup`` / ``hot-path-counter-call``
+    No by-name stat lookups or ``Counter.add`` frames in the methods
+    that run once per simulated access.
+
+Flow checkers (:mod:`repro.staticcheck.checkers`) build a per-function
+CFG (:mod:`repro.staticcheck.cfg`), run forward dataflow over it
+(:mod:`repro.staticcheck.dataflow`), and consult a module-level call
+graph (:mod:`repro.staticcheck.callgraph`) and per-function summaries
+(:mod:`repro.staticcheck.interproc`):
 
 ``persist-order``
     Accessor stores in ``structures/`` / ``baselines/`` must be
@@ -15,8 +36,7 @@
     simulated state, however many assignments they pass through.
 ``pm-escape``
     Raw device objects must not escape their owning module without a
-    ``repro.mem.accessor`` wrapper (alias-aware, unlike the syntactic
-    ``pm-direct-write`` lint rule).
+    ``repro.mem.accessor`` wrapper.
 
 ``persist-order`` findings can be *repaired*, not just reported:
 ``--fix`` / ``--fix-diff`` run the gate-placement pass
@@ -28,10 +48,11 @@ The same pass generates the ``autopass`` baseline backend (see
 
 Accepted legacy findings live in ``staticcheck-baseline.txt`` with a
 justification each; CI fails only on findings beyond the baseline (and
-on *dead* entries whose finding no longer exists). The suppression
-syntax (``# lint: ignore[checker-id]``), exit codes (0 clean /
-1 findings / 2 usage error), and ``--json`` / ``--format sarif``
-output match ``repro.lint`` — one mental model for both tools.
+on *dead* entries whose finding no longer exists). Findings can be
+suppressed per line with ``# lint: ignore[checker-id]`` (or a bare
+``# lint: ignore`` at the end of the line for every checker). Exit
+codes: 0 clean, 1 findings, 2 usage error; ``--format json`` / ``sarif``
+for machines.
 """
 
 from repro.staticcheck.engine import (
@@ -54,6 +75,7 @@ from repro.staticcheck.dataflow import (
 )
 from repro.staticcheck.callgraph import ProjectIndex, module_key
 from repro.staticcheck import checkers as _checkers  # noqa: F401
+from repro.staticcheck import rules as _rules  # noqa: F401
 
 __all__ = [
     "Baseline",

@@ -39,7 +39,8 @@ of ``f`` itself, and ``self._g = partial(self._f, x)`` routes
 """
 
 import ast
-import os
+
+from repro.staticcheck.baseline import path_key
 
 
 def module_key(path):
@@ -47,17 +48,10 @@ def module_key(path):
 
     Files inside a ``repro`` package get their dotted module path
     (``repro.structures.hashmap``); anything else falls back to the
-    normalized file path, which is unique enough for fixture trees.
+    dotted :func:`~repro.staticcheck.baseline.path_key`, which is unique
+    enough for fixture trees.
     """
-    norm = path.replace(os.sep, "/")
-    marker = "/repro/"
-    index = norm.rfind(marker)
-    if index >= 0:
-        relative = "repro/" + norm[index + len(marker):]
-    elif norm.startswith("repro/"):
-        relative = norm
-    else:
-        relative = norm
+    relative = path_key(path)
     if relative.endswith(".py"):
         relative = relative[:-3]
     if relative.endswith("/__init__"):

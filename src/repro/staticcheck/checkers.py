@@ -1,7 +1,7 @@
 """The flow-checker catalogue: persist-order, det-taint, pm-escape.
 
-Each checker upgrades a syntactic ``repro.lint`` rule with actual
-control- and data-flow reasoning:
+Unlike the syntactic rules (:mod:`repro.staticcheck.rules`), these
+checkers reason over control and data flow:
 
 ``persist-order``
     The static counterpart of PaxSan's dynamic ``san-missing-undo``: in
@@ -9,21 +9,22 @@ control- and data-flow reasoning:
     an accessor must be *dominated* by an open tx/persist gate — on
     every path, not just the one a workload happened to execute.
 ``det-taint``
-    Upgrades ``sim-determinism`` from import-matching to taint
-    propagation: a value *derived* from wall-clock, ambient entropy,
-    ``id()``, or unordered-container iteration must not flow into
-    simulated state (clock advances, RNG seeds, message scheduling),
-    however many assignments or helper calls it passes through.
+    A value *derived* from wall-clock, ambient entropy, ``id()``, or
+    unordered-container iteration must not flow into simulated state
+    (clock advances, RNG seeds, message scheduling), however many
+    assignments or helper calls it passes through. The
+    ``sim-determinism`` rule flags the imports themselves, sink or not.
 ``pm-escape``
-    Replaces ``pm-direct-write``'s alias blindness: a raw device object
-    (``PmDevice`` & co) may not leave its owning module — public
-    returns, public attributes, or foreign-module calls — unless it is
-    wrapped in a ``repro.mem.accessor`` type or handed to a sanctioned
-    owner subsystem first.
+    A raw device object (``PmDevice`` & co) may not leave its owning
+    module — public returns, public attributes, or foreign-module calls
+    — unless it is wrapped in a ``repro.mem.accessor`` type or handed to
+    a sanctioned owner subsystem first. Aliases are tracked; direct
+    ``device.write(...)`` calls are the ``pm-direct-write`` rule's job.
 """
 
 import ast
 
+from repro.staticcheck.baseline import path_key
 from repro.staticcheck.dataflow import ForwardAnalysis, TOP
 from repro.staticcheck.engine import checker
 
@@ -294,13 +295,26 @@ def check_persist_order(ctx):
 # det-taint
 # ---------------------------------------------------------------------------
 
-#: Modules any call into which yields a non-deterministic value.
-_NONDET_MODULES = frozenset({"time", "random", "datetime", "secrets",
-                             "uuid"})
+#: Modules of wall-clock time and ambient entropy: importing one trips
+#: ``sim-determinism``, and any call into one is a ``det-taint`` source.
+#: Simulated time comes from ``repro.sim.clock`` and randomness from
+#: ``repro.sim.rng`` (seeded, replayable).
+NONDET_MODULES = frozenset({"time", "random", "datetime", "secrets",
+                            "uuid"})
 
-#: Files fencing non-determinism behind seeded interfaces (mirrors the
-#: ``sim-determinism`` lint sanction list).
-_TAINT_SANCTIONED = ("sim/rng.py", "sim/clock.py", "perfbench/")
+#: Path keys (:func:`~repro.staticcheck.baseline.path_key`) of the files
+#: allowed to use them: the wrappers that fence them off behind seeded/
+#: simulated interfaces, plus the perfbench harness, which measures the
+#: simulator's *wall-clock* speed and never feeds simulated results.
+NONDET_SANCTIONED = ("repro/sim/rng.py", "repro/sim/clock.py",
+                     "repro/perfbench/")
+
+
+def nondet_sanctioned(path):
+    """True if ``path`` may use :data:`NONDET_MODULES`: the one policy
+    behind ``sim-determinism``, ``det-taint`` and the taint summaries."""
+    return path_key(path).startswith(NONDET_SANCTIONED)
+
 
 #: Sink receivers/attrs: calls that mutate simulated state.
 _SINK_METHODS = {
@@ -357,7 +371,7 @@ class _TaintAnalysis(ForwardAnalysis):
             return module
         # Unimported bare receiver named like the module (fixtures,
         # function-local imports the map already caught via ast.walk).
-        if name in _NONDET_MODULES or name == "os":
+        if name in NONDET_MODULES or name == "os":
             return name
         return None
 
@@ -367,24 +381,20 @@ class _TaintAnalysis(ForwardAnalysis):
             if func.id == "id":
                 return True
             module = self._ctx.imports.get(func.id)
-            if module in _NONDET_MODULES:
+            if module in NONDET_MODULES:
                 return True
             if module == "os" and "urandom" in func.id:
                 return True
-            return self._summary_tainted(("local", func.id))
+            return self._summaries is not None \
+                and self._summaries.tainted(func)
         if isinstance(func, ast.Attribute):
             receiver = _name_of(func.value)
             module = self._module_of(receiver) if receiver else None
-            if module in _NONDET_MODULES:
+            if module in NONDET_MODULES:
                 return True
             if module == "os" and func.attr == "urandom":
                 return True
         return False
-
-    def _summary_tainted(self, callee):
-        if self._summaries is None:
-            return False
-        return self._summaries.tainted(callee)
 
     def expr_tainted(self, expr, fact):
         """True if evaluating ``expr`` can yield a tainted value."""
@@ -550,18 +560,13 @@ class _TaintAnalysis(ForwardAnalysis):
                        "state via .%s(); determinism taint" % func.attr)
 
 
-def _module_sanctioned_for_taint(key):
-    return key.endswith("sim.rng") or key.endswith("sim.clock") \
-        or ".perfbench" in key or key.endswith("perfbench")
-
-
 class NameTaintSummaries:
     """Name-keyed taint oracle (the historical per-function behaviour).
 
-    ``tainted(callee)`` answers by bare function name — conservative
-    against same-named functions in different modules; the
-    interprocedural oracle in ``interproc.py`` resolves identity
-    through the call graph instead.
+    ``tainted(callee)`` answers by the bare name of a called
+    ``ast.Name`` — conservative against same-named functions in
+    different modules; the interprocedural oracle in ``interproc.py``
+    resolves identity through the call graph instead.
     """
 
     __slots__ = ("names",)
@@ -570,11 +575,8 @@ class NameTaintSummaries:
         self.names = names
 
     def tainted(self, callee):
-        """True if the callee descriptor's bare name is tainted."""
-        return callee[1] in self.names
-
-    def __contains__(self, name):      # keeps `"f" in summaries` working
-        return name in self.names
+        """True if the callee's bare name is tainted."""
+        return callee.id in self.names
 
 
 def _taint_summaries(ctx):
@@ -605,7 +607,7 @@ def _taint_summaries(ctx):
     tainted = set()
     infos = []
     for module in project.modules.values():
-        if _module_sanctioned_for_taint(module.key):
+        if nondet_sanctioned(module.path):
             continue
         for info in set(module.functions.values()):
             infos.append((module, info))
@@ -655,7 +657,7 @@ def check_det_taint(ctx):
     ``*seed*`` attribute stores. ``sorted(...)`` launders iteration-
     order taint (that is the approved fix), but not value taint.
     """
-    if ctx.in_package(*_TAINT_SANCTIONED):
+    if nondet_sanctioned(ctx.path):
         return
     interproc = getattr(ctx, "interproc", None)
     summaries = None

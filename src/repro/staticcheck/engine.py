@@ -1,28 +1,25 @@
-"""The staticcheck engine: checker registry, context, baseline, CLI.
+"""The staticcheck engine: checker registry, context, findings, CLI.
 
-Mirrors :mod:`repro.lint.engine` deliberately — same finding type, same
-``# lint: ignore[...]`` suppressions (one vocabulary for both tools),
-same exit-code contract (0 clean / 1 findings / 2 usage-or-crash) — but
-a checker gets a :class:`CheckContext` with *flow* machinery on top of
-the parsed AST: per-function CFGs (built lazily, cached), the module's
-import map, and the whole run's :class:`~repro.staticcheck.callgraph.
-ProjectIndex` for cross-function questions.
+A checker is a generator function taking a :class:`CheckContext` and
+yielding ``(lineno, col, message)`` tuples; the :func:`checker`
+decorator registers it under a stable id. Syntactic rules
+(:mod:`repro.staticcheck.rules`) only walk ``ctx.tree``; flow checkers
+(:mod:`repro.staticcheck.checkers`) also use the context's per-function
+CFGs (built lazily, cached), the module's import map, and the whole
+run's :class:`~repro.staticcheck.callgraph.ProjectIndex`. The engine
+owns everything else: parsing, per-line ``# lint: ignore[...]``
+suppressions, path walking, the baseline, the output formats, and the
+exit-code contract (0 clean / 1 findings / 2 usage error).
 """
 
 import argparse
 import ast
+import json
 import os
 import re
 import sys
 
 from repro.errors import LintError
-from repro.lint.engine import (
-    LintContext,
-    LintFinding,
-    SuppressionIndex,
-    iter_python_files,
-    render_findings,
-)
 from repro.staticcheck.baseline import (
     Baseline,
     discover_baseline,
@@ -32,11 +29,25 @@ from repro.staticcheck.baseline import (
 from repro.staticcheck.callgraph import ProjectIndex
 from repro.staticcheck.cfg import build_cfg
 
+#: ``# lint: ignore`` at the end of a line, or ``# lint: ignore[rule-a,
+#: rule-b]`` (optionally followed by a reason). Anything else after
+#: ``ignore`` is malformed and suppresses nothing.
+_SUPPRESS_RE = re.compile(
+    r"#\s*lint:\s*ignore(?:\[(?P<rules>[a-z0-9\-_,\s]*)\]|\s*$)")
+
+#: Compound statements: a marker inside their (possibly huge) body must
+#: not suppress findings on the header line, so statement-extent lookup
+#: only indexes the simple statements.
+_COMPOUND_STMTS = (
+    ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.If, ast.For,
+    ast.AsyncFor, ast.While, ast.With, ast.AsyncWith, ast.Try,
+)
+
 _CHECKERS = {}
 
 
 class Checker:
-    """One registered flow checker: id, summary, callable."""
+    """One registered checker: id, summary, callable."""
 
     __slots__ = ("checker_id", "summary", "check")
 
@@ -47,10 +58,11 @@ class Checker:
 
 
 def checker(checker_id, summary):
-    """Decorator registering a flow checker, mirroring ``lint.rule``.
+    """Decorator registering ``func`` as the checker for ``checker_id``.
 
-    The wrapped function takes a :class:`CheckContext` and yields
-    ``(lineno, col, message)`` findings.
+    ``func(ctx)`` receives a :class:`CheckContext` and yields
+    ``(lineno, col, message)`` findings. Registering the same id twice is
+    a programming error and raises :class:`~repro.errors.LintError`.
     """
     if not re.fullmatch(r"[a-z][a-z0-9\-]*", checker_id):
         raise LintError("checker id %r must be kebab-case" % (checker_id,))
@@ -68,11 +80,37 @@ def all_checkers():
     return dict(_CHECKERS)
 
 
-class CheckContext(LintContext):
-    """Everything a flow checker may inspect about one file."""
+class LintFinding:
+    """One located finding: file, position, rule id, message."""
+
+    __slots__ = ("path", "lineno", "col", "rule_id", "message")
+
+    def __init__(self, path, lineno, col, rule_id, message):
+        self.path = path
+        self.lineno = lineno
+        self.col = col
+        self.rule_id = rule_id
+        self.message = message
+
+    def render(self):
+        """``path:line:col: rule-id message`` (editor-clickable)."""
+        return "%s:%d:%d: %s %s" % (self.path, self.lineno, self.col,
+                                    self.rule_id, self.message)
+
+    def __repr__(self):
+        return "LintFinding(%s)" % self.render()
+
+
+class CheckContext:
+    """Everything a checker may inspect about one file."""
 
     def __init__(self, path, source, tree, project=None):
-        LintContext.__init__(self, path, source, tree)
+        self.path = path
+        self.source = source
+        self.lines = source.splitlines()
+        self.tree = tree
+        #: Path normalized to forward slashes, for module-scope predicates.
+        self.norm_path = path.replace(os.sep, "/")
         #: ProjectIndex over the whole run (None for single-file calls).
         self.project = project
         #: InterprocAnalysis when running whole-program mode (else None);
@@ -84,6 +122,12 @@ class CheckContext(LintContext):
         self._imports = None
 
     # -- path scoping -----------------------------------------------------
+
+    def in_package(self, *suffixes):
+        """True if this file lives at one of ``suffixes`` inside the
+        ``repro`` package (e.g. ``"pm/"`` or ``"sim/rng.py"``)."""
+        return path_key(self.path).startswith(
+            tuple("repro/" + suffix for suffix in suffixes))
 
     def has_segment(self, *names):
         """True if any path component equals one of ``names``.
@@ -148,6 +192,146 @@ class CheckContext(LintContext):
         return self._cfgs[func]
 
 
+def _suppressed_rules(line):
+    """Return None (no marker), "all", or a set of suppressed rule ids."""
+    match = _SUPPRESS_RE.search(line)
+    if match is None:
+        return None
+    listed = match.group("rules")
+    if listed is None:
+        return "all"
+    return {item.strip() for item in listed.split(",") if item.strip()}
+
+
+class SuppressionIndex:
+    """Per-file ``# lint: ignore`` lookup, aware of multi-line statements.
+
+    A finding is anchored to the line its AST node *starts* on, but the
+    human editing the file naturally appends the marker to the line they
+    are looking at — which for a wrapped call or a parenthesised
+    expression may be the statement's *last* line. The index therefore
+    honours a marker on the finding line itself, or on the first or last
+    line of the smallest *simple* statement enclosing it. Compound
+    statements (def/if/try/...) are excluded so a marker deep inside a
+    body cannot blanket-suppress its header.
+    """
+
+    def __init__(self, lines, tree=None):
+        self._lines = lines
+        self._extents = []
+        if tree is not None:
+            for node in ast.walk(tree):
+                if isinstance(node, ast.stmt) \
+                        and not isinstance(node, _COMPOUND_STMTS):
+                    end = getattr(node, "end_lineno", None) or node.lineno
+                    if end > node.lineno:
+                        self._extents.append((node.lineno, end))
+
+    def _marker_lines(self, lineno):
+        """Line numbers whose marker may suppress a finding at ``lineno``."""
+        lines = {lineno}
+        best = None
+        for start, end in self._extents:
+            if start <= lineno <= end:
+                if best is None or (end - start) < (best[1] - best[0]):
+                    best = (start, end)
+        if best is not None:
+            lines.update(best)
+        return lines
+
+    def suppressed(self, lineno, rule_id):
+        """True if ``rule_id`` is suppressed for a finding at ``lineno``."""
+        for line_no in self._marker_lines(lineno):
+            if not 0 < line_no <= len(self._lines):
+                continue
+            marks = _suppressed_rules(self._lines[line_no - 1])
+            if marks == "all" or (marks is not None and rule_id in marks):
+                return True
+        return False
+
+
+#: Version of the ``--json`` payload; bumped on incompatible shape changes.
+JSON_SCHEMA_VERSION = 1
+
+
+def findings_to_json(findings):
+    """Serialize findings as a schema-tagged JSON object.
+
+    The payload is ``{"schema": 1, "findings": [...]}`` so consumers can
+    detect shape changes instead of silently misparsing them.
+    """
+    entries = [{"path": finding.path, "line": finding.lineno,
+                "col": finding.col, "rule": finding.rule_id,
+                "message": finding.message}
+               for finding in findings]
+    return json.dumps(
+        {"schema": JSON_SCHEMA_VERSION, "findings": entries},
+        indent=2)
+
+
+#: SARIF version emitted by ``--format sarif``: the minimal subset
+#: GitHub code scanning ingests for inline annotations.
+SARIF_VERSION = "2.1.0"
+_SARIF_SCHEMA = ("https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
+                 "master/Schemata/sarif-schema-2.1.0.json")
+
+
+def findings_to_sarif(findings):
+    """Serialize findings as a SARIF 2.1.0 log (one run).
+
+    The rule catalogue is every registered checker with its summary;
+    ids seen only in findings (``parse-error``) are added with none.
+    Columns are 0-based internally but SARIF is 1-based, hence the +1.
+    """
+    catalogue = {checker_id: checker_obj.summary
+                 for checker_id, checker_obj in _CHECKERS.items()}
+    for finding in findings:
+        catalogue.setdefault(finding.rule_id, "")
+    results = [{
+        "ruleId": finding.rule_id,
+        "level": "warning",
+        "message": {"text": finding.message},
+        "locations": [{
+            "physicalLocation": {
+                "artifactLocation": {
+                    "uri": finding.path.replace(os.sep, "/"),
+                },
+                "region": {
+                    "startLine": finding.lineno,
+                    "startColumn": finding.col + 1,
+                },
+            },
+        }],
+    } for finding in findings]
+    log = {
+        "$schema": _SARIF_SCHEMA,
+        "version": SARIF_VERSION,
+        "runs": [{
+            "tool": {"driver": {
+                "name": "repro.staticcheck",
+                "rules": [
+                    {"id": rule_id,
+                     "shortDescription": {"text": summary or rule_id}}
+                    for rule_id, summary in sorted(catalogue.items())
+                ],
+            }},
+            "results": results,
+        }],
+    }
+    return json.dumps(log, indent=2)
+
+
+def render_findings(findings, fmt):
+    """One findings payload in ``fmt``: "text", "json", or "sarif"."""
+    if fmt == "json":
+        return findings_to_json(findings)
+    if fmt == "sarif":
+        return findings_to_sarif(findings)
+    if fmt != "text":
+        raise LintError("unknown output format %r" % (fmt,))
+    return "\n".join(finding.render() for finding in findings)
+
+
 def _select(selected):
     if selected is None:
         return list(_CHECKERS.values())
@@ -161,14 +345,17 @@ def _select(selected):
 
 
 def check_source(path, source, project=None, selected=None, interproc=None):
-    """Check one source string; returns a list of LintFinding.
+    """Check one source string; returns a list of :class:`LintFinding`.
 
-    Same contract as ``lint_source``: syntax errors become a
-    ``parse-error`` finding, suppressions are honoured per line (with
-    multi-line statement awareness). ``interproc`` switches the
-    checkers into whole-program mode (callee summaries resolve gates,
-    candidates register their function metadata for the discharge
-    filter).
+    ``selected`` restricts the run to an iterable of checker ids (all
+    registered checkers when None); unknown ids raise
+    :class:`~repro.errors.LintError`. Syntax errors are reported as a
+    finding under the pseudo-rule ``parse-error`` rather than raised, so
+    one broken file cannot hide the rest of the tree's findings.
+    Suppressions are honoured per line (with multi-line statement
+    awareness). ``interproc`` switches the flow checkers into
+    whole-program mode (callee summaries resolve gates, candidates
+    register their function metadata for the discharge filter).
     """
     checkers = _select(selected)
     try:
@@ -188,6 +375,22 @@ def check_source(path, source, project=None, selected=None, interproc=None):
                                         checker_obj.checker_id, message))
     findings.sort(key=lambda f: (f.lineno, f.col, f.rule_id))
     return findings
+
+
+def iter_python_files(paths):
+    """Yield every ``.py`` file under ``paths`` (files or directories)."""
+    for path in paths:
+        if os.path.isfile(path):
+            yield path
+        elif os.path.isdir(path):
+            for dirpath, dirnames, filenames in os.walk(path):
+                dirnames[:] = sorted(d for d in dirnames
+                                     if d != "__pycache__")
+                for filename in sorted(filenames):
+                    if filename.endswith(".py"):
+                        yield os.path.join(dirpath, filename)
+        else:
+            raise LintError("no such file or directory: %r" % (path,))
 
 
 def _index(paths):
@@ -247,8 +450,9 @@ def main(argv=None):
     """CLI entry point; exit code 0 clean, 1 findings, 2 usage error."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.staticcheck",
-        description="Flow-aware static analysis (CFG/dataflow) over the "
-                    "repro sources; see docs/analysis-tools.md.")
+        description="Static analysis (syntactic rules and CFG/dataflow "
+                    "checkers) over the repro sources; see "
+                    "docs/analysis-tools.md.")
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to check (default: src)")
     parser.add_argument("--select", action="append", metavar="CHECKER",
@@ -256,8 +460,8 @@ def main(argv=None):
     parser.add_argument("--list-checkers", action="store_true",
                         help="print the checker catalogue and exit")
     parser.add_argument("--json", action="store_true",
-                        help="emit findings as a JSON array on stdout "
-                             "(same as --format json)")
+                        help="emit findings as a schema-tagged JSON object "
+                             "on stdout (same as --format json)")
     parser.add_argument("--format", choices=("text", "json", "sarif"),
                         default=None,
                         help="output format (default text; sarif suits "
@@ -273,10 +477,6 @@ def main(argv=None):
                         default="auto",
                         help="gate idiom for --fix/--fix-diff (default: "
                              "auto — pick per receiver)")
-    parser.add_argument("--witness-trace", action="append", metavar="FILE",
-                        help="replay trace (repro.replay format) used to "
-                             "ground surviving findings as 'confirmed' or "
-                             "'static-only' (repeatable)")
     parser.add_argument("--baseline", metavar="FILE", default=None,
                         help="accepted-findings baseline (default: "
                              "discover staticcheck-baseline.txt)")
@@ -290,7 +490,7 @@ def main(argv=None):
 
     if args.list_checkers:
         for checker_id, checker_obj in sorted(all_checkers().items()):
-            print("%-18s %s" % (checker_id, checker_obj.summary))
+            print("%-21s %s" % (checker_id, checker_obj.summary))
         return 0
 
     paths = args.paths or ["src"]
@@ -324,19 +524,12 @@ def main(argv=None):
     try:
         findings, checked_files, discharged = run_interproc(
             paths, selected=args.select)
-        if discharged:
-            print("staticcheck: interprocedural summaries discharged "
-                  "%d finding(s)" % len(discharged), file=sys.stderr)
-        if args.witness_trace:
-            from repro.staticcheck.witness import apply_witnesses
-            confirmed, static_only = apply_witnesses(
-                findings, args.witness_trace)
-            print("staticcheck: witness: %d confirmed, "
-                  "%d static-only" % (confirmed, static_only),
-                  file=sys.stderr)
     except LintError as exc:
         print("staticcheck: error: %s" % exc, file=sys.stderr)
         return 2
+    if discharged:
+        print("staticcheck: interprocedural summaries discharged "
+              "%d finding(s)" % len(discharged), file=sys.stderr)
 
     if args.write_baseline:
         target = args.baseline or "staticcheck-baseline.txt"
@@ -375,9 +568,7 @@ def main(argv=None):
                       file=sys.stderr)
 
     fmt = args.format or ("json" if args.json else "text")
-    rendered = render_findings(
-        findings, fmt, "repro.staticcheck",
-        rules={cid: c.summary for cid, c in all_checkers().items()})
+    rendered = render_findings(findings, fmt)
     if rendered or fmt != "text":
         print(rendered)
     if dead and not findings:

@@ -44,9 +44,9 @@ from repro.staticcheck.callgraph import module_key
 from repro.staticcheck.checkers import (
     _GATE_CLOSE_ATTRS,
     _GATE_OPEN_ATTRS,
-    _module_sanctioned_for_taint,
     _EscapeAnalysis,
     _ModuleImportsShim,
+    nondet_sanctioned,
 )
 from repro.staticcheck.cfg import build_cfg
 from repro.staticcheck.dataflow import TOP
@@ -127,8 +127,10 @@ class _ResolvedTaintOracle:
         self._module = module
 
     def tainted(self, callee):
-        """True if the resolved callee's summary returns taint."""
-        resolved = self._ip.project.resolve(self._module, callee)
+        """True if the called name, resolved through its import as the
+        call graph does, is a function whose summary returns taint."""
+        resolved = self._ip.project.resolve(
+            self._module, self._module.call_descriptor(callee))
         if resolved is None or resolved.module is None:
             return False
         summary = self._ip.summaries.get(
@@ -403,7 +405,7 @@ class InterprocAnalysis:
             module, _owner, info = entries[key]
             summary = self.summaries[key]
             summary.taint_return = (
-                not _module_sanctioned_for_taint(module.key)
+                not nondet_sanctioned(module.path)
                 and returns_value(info.node)
                 and has_direct_taint_source(module, info.node))
         for _round in range(10):
@@ -412,7 +414,7 @@ class InterprocAnalysis:
                 module, _owner, info = entries[key]
                 summary = self.summaries[key]
                 if summary.taint_return \
-                        or _module_sanctioned_for_taint(module.key) \
+                        or nondet_sanctioned(module.path) \
                         or not returns_value(info.node):
                     continue
                 for descriptor in info.calls:

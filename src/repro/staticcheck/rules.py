@@ -1,14 +1,16 @@
-"""The built-in rule catalogue.
+"""The syntactic rules: checkers that match single AST nodes.
 
-Each rule is a generator decorated with :func:`repro.lint.engine.rule`;
-it walks the file's AST (via :class:`~repro.lint.engine.LintContext`) and
-yields ``(lineno, col, message)`` for every violation. Location/module
-scoping lives here, suppression handling lives in the engine.
+Each rule is a generator registered with
+:func:`repro.staticcheck.engine.checker` like the flow checkers, but it
+ignores the CFG: it walks ``ctx.tree`` and yields ``(lineno, col,
+message)`` for every violation. Location/module scoping lives here;
+suppression handling lives in the engine.
 """
 
 import ast
 
-from repro.lint.engine import iter_function_nodes, rule
+from repro.staticcheck.checkers import NONDET_MODULES, nondet_sanctioned
+from repro.staticcheck.engine import checker
 
 #: Builtins whose ``raise`` the project bans: callers must be able to
 #: catch ``ReproError`` and know they have a simulator failure, not a
@@ -20,18 +22,6 @@ _BANNED_EXCEPTIONS = frozenset({
     "AttributeError", "AssertionError", "LookupError", "NameError",
     "ZeroDivisionError", "OverflowError", "BufferError",
 })
-
-#: Modules whose import makes a simulation non-reproducible: wall-clock
-#: time and ambient entropy. Simulated time comes from ``repro.sim.clock``
-#: and randomness from ``repro.sim.rng`` (seeded, replayable).
-_NONDET_MODULES = frozenset({"time", "random", "datetime", "secrets"})
-
-#: Files allowed to import the non-deterministic modules: the wrappers
-#: that fence them off behind seeded/simulated interfaces, plus the
-#: perfbench harness, which measures the simulator's *wall-clock* speed
-#: and is non-deterministic by definition (its output never feeds back
-#: into simulated results).
-_NONDET_SANCTIONED = ("sim/rng.py", "sim/clock.py", "perfbench/")
 
 #: Modules allowed to call ``*.write(...)`` on a PM device directly.
 #: Everything else must go through the cache hierarchy or a transaction
@@ -138,8 +128,8 @@ def _exception_name(node):
     return None
 
 
-@rule("typed-errors",
-      "raise ReproError subclasses, not bare builtin exceptions")
+@checker("typed-errors",
+         "raise ReproError subclasses, not bare builtin exceptions")
 def check_typed_errors(ctx):
     """Flag ``raise ValueError(...)``-style raises of banned builtins.
 
@@ -155,8 +145,8 @@ def check_typed_errors(ctx):
                    "raise a repro.errors type instead of builtin %s" % name)
 
 
-@rule("pm-direct-write",
-      "only sanctioned modules may write the PM device directly")
+@checker("pm-direct-write",
+         "only sanctioned modules may write the PM device directly")
 def check_pm_direct_write(ctx):
     """Flag ``device.write(...)`` / ``self.pm.write(...)`` calls outside
     the sanctioned module list.
@@ -164,6 +154,8 @@ def check_pm_direct_write(ctx):
     A direct media write bypasses the cache hierarchy, so the coherence
     model, the write-amplification stats, and PaxSan all lose sight of
     it — exactly the interposition argument the paper builds on.
+    ``pm-escape`` tracks device *aliases* but not writes, so this rule
+    still catches a write through a device the module rightly owns.
     """
     if ctx.in_package(*_PM_WRITE_SANCTIONED):
         return
@@ -186,35 +178,37 @@ def check_pm_direct_write(ctx):
                    "through stores or an accessor" % receiver_name)
 
 
-@rule("sim-determinism",
-      "no wall-clock or ambient randomness outside sim.clock / sim.rng")
+@checker("sim-determinism",
+         "no wall-clock or ambient randomness outside sim.clock / sim.rng")
 def check_sim_determinism(ctx):
-    """Flag imports of time/random/datetime/secrets outside the two
-    sanctioned wrapper modules.
+    """Flag imports of the non-deterministic modules outside the
+    sanctioned files.
 
     Results must replay bit-for-bit from a seed; ambient time or entropy
-    anywhere else silently breaks that.
+    anywhere else silently breaks that. ``det-taint`` only fires once a
+    tainted value reaches a sink, so this rule still catches the import
+    that has no sink yet.
     """
-    if ctx.in_package(*_NONDET_SANCTIONED):
+    if nondet_sanctioned(ctx.path):
         return
     for node in ast.walk(ctx.tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 root = alias.name.split(".")[0]
-                if root in _NONDET_MODULES:
+                if root in NONDET_MODULES:
                     yield (node.lineno, node.col_offset,
                            "import of %r breaks determinism; use sim.clock"
                            " / sim.rng" % alias.name)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             root = (node.module or "").split(".")[0]
-            if root in _NONDET_MODULES:
+            if root in NONDET_MODULES:
                 yield (node.lineno, node.col_offset,
                        "import from %r breaks determinism; use sim.clock"
                        " / sim.rng" % node.module)
 
 
-@rule("hot-path-stat-lookup",
-      "no string-keyed stat lookups inside per-access hot paths")
+@checker("hot-path-stat-lookup",
+         "no string-keyed stat lookups inside per-access hot paths")
 def check_hot_path_stat_lookup(ctx):
     """Flag ``stats.counter("x")`` / ``stats.histogram("x")`` calls inside
     methods known to run once per simulated access.
@@ -248,8 +242,8 @@ def check_hot_path_stat_lookup(ctx):
                    "%s at construction time" % (func.name, callee.attr))
 
 
-@rule("hot-path-counter-call",
-      "bump bound counters with .value += n inside per-access hot paths")
+@checker("hot-path-counter-call",
+         "bump bound counters with .value += n inside per-access hot paths")
 def check_hot_path_counter_call(ctx):
     """Flag ``self._c_x.add(1)``-style calls inside the hot methods.
 
@@ -282,17 +276,20 @@ def check_hot_path_counter_call(ctx):
                                            amount.value))
 
 
-@rule("mutable-default",
-      "no mutable default arguments")
+@checker("mutable-default",
+         "no mutable default arguments")
 def check_mutable_default(ctx):
     """Flag list/dict/set literals (and their constructors) used as
     parameter defaults — they are shared across calls.
 
-    Uses :func:`~repro.lint.engine.iter_function_nodes`, so lambdas and
+    Walks every function-like node (``ast.walk`` order), so lambdas and
     functions nested inside other functions or decorated methods are
     checked, not just module-level ``def`` bodies.
     """
-    for node in iter_function_nodes(ctx.tree):
+    for node in ast.walk(ctx.tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
         defaults = list(node.args.defaults) + [
             d for d in node.args.kw_defaults if d is not None]
         for default in defaults:

@@ -1,24 +1,19 @@
-"""The project linter: each rule's positive/negative fixtures, the
-suppression syntax, module sanctioning, the CLI, and — the point of the
-whole exercise — that the real source tree lints clean."""
+"""The syntactic rules: each rule's positive/negative fixtures, the
+suppression syntax, module sanctioning, and the CLI. The real tree is
+checked against the baseline in tests/test_staticcheck_cli.py."""
 
 import json
-import os
 
 import pytest
 
 from repro.errors import LintError
-from repro.lint import all_rules, lint_source, main, run_paths
-
-import repro
-
-SRC_REPRO = os.path.dirname(os.path.abspath(repro.__file__))
+from repro.staticcheck import all_checkers, check_source, main
 
 
 def findings_for(source, path="fixture.py", selected=None):
-    """Lint a source string and return ``[(rule_id, lineno), ...]``."""
+    """Check a source string and return ``[(rule_id, lineno), ...]``."""
     return [(f.rule_id, f.lineno)
-            for f in lint_source(path, source, selected=selected)]
+            for f in check_source(path, source, selected=selected)]
 
 
 # -- typed-errors -----------------------------------------------------------
@@ -92,6 +87,15 @@ def test_sim_determinism_sanctions_the_wrapper_modules():
                         selected=["sim-determinism"]) == []
     assert findings_for(source, path="src/repro/sim/clock.py",
                         selected=["sim-determinism"]) == []
+
+
+def test_sim_determinism_sanctions_only_the_perfbench_package():
+    source = "import time\nimport uuid\n"
+    assert findings_for(source, path="src/repro/perfbench/__main__.py",
+                        selected=["sim-determinism"]) == []
+    assert findings_for(source, path="src/repro/workloads/perfbench_util.py",
+                        selected=["sim-determinism"]) == [
+        ("sim-determinism", 1), ("sim-determinism", 2)]
 
 
 # -- hot-path-stat-lookup ---------------------------------------------------
@@ -276,13 +280,31 @@ def test_suppression_bare_and_per_rule():
     multi = ("def f():\n"
              "    raise ValueError('x')  "
              "# lint: ignore[pm-direct-write, typed-errors]\n")
+    reasoned = ("def f():\n"
+                "    raise ValueError('x')  "
+                "# lint: ignore[typed-errors] PEP 562 requires it\n")
     wrong = ("def f():\n"
              "    raise ValueError('x')  # lint: ignore[mutable-default]\n")
     assert findings_for(flagged) == [("typed-errors", 2)]
     assert findings_for(bare) == []
     assert findings_for(scoped) == []
     assert findings_for(multi) == []
+    assert findings_for(reasoned) == []
     assert findings_for(wrong) == [("typed-errors", 2)]
+
+
+@pytest.mark.parametrize("marker", [
+    "# lint: ignore[Typed-Errors]",
+    "# lint: ignore[typed-errors",
+    "# lint: ignore [typed-errors]",
+    "# lint: ignored",
+    "# lint: ignore-me",
+    "# lint: ignore[]",
+], ids=["upper-case", "unclosed", "space-before-bracket", "ignored",
+        "suffix", "empty-list"])
+def test_malformed_suppression_suppresses_nothing(marker):
+    source = "def f():\n    raise ValueError(1)  %s\n" % marker
+    assert findings_for(source) == [("typed-errors", 2)]
 
 
 def test_suppression_on_multiline_statements():
@@ -319,11 +341,11 @@ def test_parse_error_is_a_finding_not_an_exception():
 
 def test_unknown_selected_rule_raises_lint_error():
     with pytest.raises(LintError):
-        lint_source("x.py", "pass\n", selected=["no-such-rule"])
+        check_source("x.py", "pass\n", selected=["no-such-rule"])
 
 
 def test_rule_catalogue_is_registered():
-    rules = all_rules()
+    rules = all_checkers()
     assert {"typed-errors", "pm-direct-write", "sim-determinism",
             "mutable-default", "hot-path-stat-lookup",
             "hot-path-counter-call"} <= set(rules)
@@ -367,13 +389,6 @@ def test_cli_json_output(tmp_path, capsys):
 
 
 def test_cli_list_rules(capsys):
-    assert main(["--list-rules"]) == 0
+    assert main(["--list-checkers"]) == 0
     out = capsys.readouterr().out
     assert "typed-errors" in out and "pm-direct-write" in out
-
-
-# -- the tree itself --------------------------------------------------------
-
-def test_real_source_tree_is_clean():
-    findings = run_paths([SRC_REPRO])
-    assert findings == [], "\n".join(f.render() for f in findings)

@@ -192,7 +192,8 @@ def test_taint_flows_through_assignments():
             delay = start * 2
             clock.advance(delay)
     """
-    assert findings_for(source, SIM) == [("det-taint", 7)]
+    assert findings_for(source, SIM) == [("sim-determinism", 2),
+                                         ("det-taint", 7)]
 
 
 def test_taint_direct_source_argument():
@@ -202,7 +203,8 @@ def test_taint_direct_source_argument():
         def drive(clock):
             clock.advance(time.time())
     """
-    assert findings_for(source, SIM) == [("det-taint", 5)]
+    assert findings_for(source, SIM) == [("sim-determinism", 2),
+                                         ("det-taint", 5)]
 
 
 def test_taint_os_urandom_into_rng_seed():
@@ -232,7 +234,8 @@ def test_taint_seed_keyword_is_a_sink_anywhere():
         def boot(machine_cls):
             return machine_cls(seed=time.time_ns())
     """
-    assert findings_for(source, SIM) == [("det-taint", 5)]
+    assert findings_for(source, SIM) == [("sim-determinism", 2),
+                                         ("det-taint", 5)]
 
 
 def test_taint_set_iteration_order():
@@ -264,7 +267,8 @@ def test_taint_sorted_does_not_launder_value_taint():
             for stamp in sorted(stamps):
                 clock.advance(stamp)
     """
-    assert findings_for(source, SIM) == [("det-taint", 7)]
+    assert findings_for(source, SIM) == [("sim-determinism", 2),
+                                         ("det-taint", 7)]
 
 
 def test_taint_reassignment_kills_the_fact():
@@ -276,7 +280,7 @@ def test_taint_reassignment_kills_the_fact():
             stamp = 0
             clock.advance(stamp)
     """
-    assert findings_for(source, SIM) == []
+    assert findings_for(source, SIM) == [("sim-determinism", 2)]
 
 
 def test_taint_untainted_sink_arguments_are_clean():

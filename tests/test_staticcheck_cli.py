@@ -1,12 +1,11 @@
-"""The staticcheck CLI: the 0/1/2 exit-code contract it shares with
-repro.lint, --json output, the baseline workflow, and — the acceptance
-criterion — that the real tree is clean against the committed baseline."""
+"""The staticcheck CLI: the 0/1/2 exit-code contract, --json output,
+the baseline workflow, and — the acceptance criterion — that the real
+tree is clean under every checker against the committed baseline."""
 
 import json
 import os
 
-from repro.lint import main as lint_main
-from repro.staticcheck import main, path_key
+from repro.staticcheck import all_checkers, main, path_key
 
 import repro
 
@@ -50,31 +49,15 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["--no-baseline", str(tmp_path / "missing.py")]) == 2
 
 
-def test_exit_code_contract_is_shared_with_lint(tmp_path, capsys):
-    """Both tools: 0 clean, 1 findings, 2 usage error."""
-    static_clean = clean_file(tmp_path)
-    static_dirty = dirty_file(tmp_path)
-    lint_dirty = tmp_path / "lint_dirty.py"
-    lint_dirty.write_text("def f():\n    raise ValueError('x')\n")
-
-    for tool, clean, dirty, bad_flag in (
-            (lint_main, static_clean, lint_dirty,
-             ["--select", "no-such-rule"]),
-            (lambda argv: main(["--no-baseline"] + argv),
-             static_clean, static_dirty,
-             ["--select", "no-such-checker"])):
-        assert tool([str(clean)]) == 0
-        assert tool([str(dirty)]) == 1
-        assert tool(bad_flag + [str(clean)]) == 2
-    capsys.readouterr()
-
-
 def test_cli_list_checkers(capsys):
     assert main(["--list-checkers"]) == 0
     out = capsys.readouterr().out
     assert "persist-order" in out
     assert "det-taint" in out
     assert "pm-escape" in out
+    assert [line.split()[0] for line in out.splitlines()] \
+        == sorted(all_checkers())
+    assert len(all_checkers()) == 9
 
 
 # -- JSON output ------------------------------------------------------------
@@ -157,6 +140,28 @@ def test_select_keeps_entries_of_rules_that_did_not_run(tmp_path, capsys):
                  str(dirty)]) == 0
     err = capsys.readouterr().err
     assert "dead" not in err and "unused slot" not in err
+
+
+def test_syntactic_rule_entries_are_baselined_like_any_other(tmp_path,
+                                                             capsys):
+    """A typed-errors entry accepts its findings, and is judged dead or
+    stale exactly like a flow checker's entry."""
+    source = tmp_path / "raiser.py"
+    source.write_text("def f():\n    raise ValueError(1)\n")
+    baseline = tmp_path / "baseline.txt"
+    key = path_key(str(source))
+
+    baseline.write_text("# legacy raise\n%s typed-errors 1\n" % key)
+    assert main(["--baseline", str(baseline), str(source)]) == 0
+    assert "clean (1 baseline-accepted" in capsys.readouterr().err
+
+    baseline.write_text("# legacy raise\n%s typed-errors 3\n" % key)
+    assert main(["--baseline", str(baseline), str(source)]) == 0
+    assert "typed-errors has 2 unused slot(s)" in capsys.readouterr().err
+
+    source.write_text("def f():\n    return 1\n")
+    assert main(["--baseline", str(baseline), str(source)]) == 1
+    assert "typed-errors is dead" in capsys.readouterr().err
 
 
 def test_write_baseline_refuses_a_checker_selection(tmp_path, capsys):

@@ -10,8 +10,7 @@ import shutil
 import pytest
 
 from repro.errors import LintError
-from repro.lint import main as lint_main
-from repro.staticcheck import main, run_paths
+from repro.staticcheck import all_checkers, main, run_paths
 from repro.staticcheck.autogen import generate, main as autogen_main
 from repro.staticcheck.autogen import target_path
 from repro.staticcheck.baseline import path_key
@@ -258,8 +257,8 @@ def test_fix_reports_parse_errors(tmp_path, capsys):
 
 # -- SARIF output -----------------------------------------------------------
 
-def _sarif_of(capsys, exit_code_expected, argv, tool):
-    assert tool(argv) == exit_code_expected
+def _sarif_of(capsys, exit_code_expected, argv):
+    assert main(argv) == exit_code_expected
     report = json.loads(capsys.readouterr().out)
     assert report["version"] == "2.1.0"
     return report
@@ -268,8 +267,7 @@ def _sarif_of(capsys, exit_code_expected, argv, tool):
 def test_staticcheck_sarif_output(tmp_path, capsys):
     tree = _bad_tree(tmp_path)
     report = _sarif_of(capsys, 1,
-                       ["--no-baseline", "--format", "sarif", str(tree)],
-                       main)
+                       ["--no-baseline", "--format", "sarif", str(tree)])
     run = report["runs"][0]
     assert run["tool"]["driver"]["name"] == "repro.staticcheck"
     rules = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
@@ -282,11 +280,15 @@ def test_staticcheck_sarif_output(tmp_path, capsys):
 
 
 def test_lint_sarif_output_shares_the_format(tmp_path, capsys):
+    """A clean file: an empty SARIF run that still lists every checker,
+    syntactic rules and flow checkers alike."""
     clean = tmp_path / "clean.py"
     clean.write_text('"""Doc."""\n')
-    report = _sarif_of(capsys, 0, ["--format", "sarif", str(clean)],
-                       lint_main)
-    assert report["runs"][0]["tool"]["driver"]["name"] == "repro.lint"
+    report = _sarif_of(capsys, 0,
+                       ["--no-baseline", "--format", "sarif", str(clean)])
+    driver = report["runs"][0]["tool"]["driver"]
+    assert driver["name"] == "repro.staticcheck"
+    assert [rule["id"] for rule in driver["rules"]] == sorted(all_checkers())
     assert report["runs"][0]["results"] == []
 
 

@@ -27,6 +27,7 @@ def test_persist_order_fixture_fires_on_planted_lines():
 
 def test_det_taint_fixture_fires_on_planted_lines():
     assert fixture_findings("taint") == [
+        ("taint_bad.py", "sim-determinism", 10),   # import time
         ("taint_bad.py", "det-taint", 21),   # wall clock -> clock.advance
         ("taint_bad.py", "det-taint", 26),   # os.urandom -> rng.seed
         ("taint_bad.py", "det-taint", 31),   # helper-return summary

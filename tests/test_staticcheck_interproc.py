@@ -1,28 +1,17 @@
 """Whole-program interprocedural staticcheck: function summaries over
 the call graph (SCC fixpoints), discharge of per-function findings that
-callees/callers prove safe, the baseline orphan rule, and
-trace-grounded witnesses."""
+callees/callers prove safe, det-taint across modules, and the baseline
+orphan rule."""
 
-import json
 import os
 import textwrap
 
 import pytest
 
 from repro.errors import LintError
-from repro.lint.engine import LintFinding, findings_to_json, findings_to_sarif
-from repro.replay.format import (
-    PERSIST,
-    RAW_WRITE,
-    STORE,
-    WAL_APPEND,
-    WAL_RESET,
-    Trace,
-)
 from repro.staticcheck.baseline import Baseline
 from repro.staticcheck.callgraph import ProjectIndex, module_key
 from repro.staticcheck.engine import run_interproc, run_paths
-from repro.staticcheck.witness import apply_witnesses, unsafe_store_count
 
 
 def write_tree(tmp_path, files):
@@ -389,130 +378,60 @@ def test_baseline_orphaned_comment_at_eof_fails(tmp_path):
         """)
 
 
-# -- witnesses ---------------------------------------------------------------
+# -- determinism taint across modules ---------------------------------------
 
-def make_trace(kinds, backend="paxish"):
-    sizes = [0] * len(kinds)
-    payload = b""
-    return Trace(list(kinds), [0] * len(kinds), [0] * len(kinds),
-                 sizes, payload, {"backend": backend})
+def test_imported_tainted_helper_taints_the_caller(tmp_path):
+    """A bare-name call resolves through its import to the helper's
+    summary, in another module, as the per-function reference does."""
+    files = {
+        "repro/workloads/entropy_util.py": """
+            import time
 
+            def stamp():
+                return time.time()
+        """,
+        "repro/workloads/drive.py": """
+            from repro.workloads.entropy_util import stamp
 
-def test_unsafe_store_count_semantics():
-    # Persist retires everything pending.
-    assert unsafe_store_count(make_trace([STORE, STORE, PERSIST])) == 0
-    # Stores after the last persist are exposed.
-    assert unsafe_store_count(
-        make_trace([STORE, PERSIST, STORE, RAW_WRITE])) == 2
-    # An open WAL window protects at issue time; reset closes it.
-    assert unsafe_store_count(
-        make_trace([WAL_APPEND, STORE, WAL_RESET, STORE])) == 1
-    assert unsafe_store_count(make_trace([])) == 0
-
-
-def test_coverage_report_matches_witness_walk():
-    from repro.replay.coverage import coverage
-    trace = make_trace([STORE, PERSIST, WAL_APPEND, STORE, WAL_RESET,
-                        STORE])
-    report = coverage(trace)
-    assert report.stores == 3
-    assert report.persist_retired == 1
-    assert report.wal_protected == 1
-    assert report.exposed == 1
-    assert not report.safe
-    assert unsafe_store_count(trace) == report.exposed
-
-
-WITNESS_TREE = {
-    "repro/baselines/paxish.py": """
-        from repro.structures.maps import HashMapIsh
-
-        class PaxishBackend:
-            name = "paxish"
-    """,
-    "repro/structures/maps.py": """
-        class HashMapIsh:
-            def put(self, k, v):
-                self._mem.write_u64(k, v)
-    """,
-    "repro/structures/orphan.py": """
-        class Orphan:
-            def put(self, k, v):
-                self._mem.write_u64(k, v)
-    """,
-}
-
-
-def test_witness_confirms_import_reachable_findings(tmp_path):
-    root = write_tree(tmp_path, WITNESS_TREE)
+            def run(clock):
+                clock.advance(stamp())
+        """,
+    }
+    root = write_tree(tmp_path, files)
+    expected = [("repro.workloads.drive", 5, "det-taint"),
+                ("repro.workloads.entropy_util", 2, "sim-determinism")]
+    assert keys_of(run_paths([root])) == expected
     findings, _names, _discharged = run_interproc([root])
-    assert len(findings) == 2
-    trace_path = str(tmp_path / "unsafe.trace")
-    make_trace([STORE, STORE]).save(trace_path)
-    confirmed, static_only = apply_witnesses(findings, [trace_path],
-                                             source_roots=[root])
-    assert (confirmed, static_only) == (1, 1)
-    verdicts = {module_key(f.path): f.properties["witness"]
-                for f in findings}
-    assert verdicts["repro.structures.maps"] == "confirmed"
-    assert verdicts["repro.structures.orphan"] == "static-only"
+    assert keys_of(findings) == expected
 
 
-def test_safe_trace_confirms_nothing(tmp_path):
-    root = write_tree(tmp_path, WITNESS_TREE)
-    findings, _names, _discharged = run_interproc([root])
-    trace_path = str(tmp_path / "safe.trace")
-    make_trace([STORE, STORE, PERSIST]).save(trace_path)
-    confirmed, static_only = apply_witnesses(findings, [trace_path],
-                                             source_roots=[root])
-    assert confirmed == 0
-    assert static_only == len(findings)
+def test_perfbench_named_module_outside_perfbench_is_not_sanctioned(
+        tmp_path):
+    """Only the ``repro.perfbench`` package may read the wall clock; a
+    module merely named ``perfbench_*`` taints its callers."""
+    findings, _names, _discharged = interproc_run(tmp_path, {
+        "repro/workloads/perfbench_util.py": """
+            import time
 
+            def stamp():
+                return time.time()
+        """,
+        "repro/perfbench/timer.py": """
+            import time
 
-def test_malformed_witness_trace_is_a_lint_error(tmp_path):
-    bogus = tmp_path / "bogus.trace"
-    bogus.write_bytes(b"not a trace")
-    finding = LintFinding("repro/structures/x.py", 1, 0,
-                         "persist-order", "msg")
-    with pytest.raises(LintError, match="witness trace"):
-        apply_witnesses([finding], [str(bogus)],
-                        source_roots=[str(tmp_path)])
+            def stamp():
+                return time.time()
+        """,
+        "repro/workloads/drive.py": """
+            from repro.perfbench.timer import stamp as bench_stamp
+            from repro.workloads.perfbench_util import stamp
 
-
-def test_fuzz_witness_out_records_unsafe_pax_trace(tmp_path):
-    from repro.crashtest.fuzz import record_witness_trace
-    from repro.replay.format import load_trace
-    target = str(tmp_path / "witness.trace")
-    record_witness_trace(target, seed=7, ops=12)
-    trace = load_trace(target)
-    assert trace.footer["backend"] == "pax"
-    assert unsafe_store_count(trace) > 0
-
-
-# -- verdicts in output formats ----------------------------------------------
-
-def test_witness_verdict_lands_in_sarif_properties():
-    finding = LintFinding("repro/structures/x.py", 3, 0, "persist-order",
-                          "msg", properties={"witness": "confirmed"})
-    plain = LintFinding("repro/structures/y.py", 4, 0, "persist-order",
-                        "msg")
-    log = json.loads(findings_to_sarif([finding, plain], "repro.staticcheck"))
-    results = log["runs"][0]["results"]
-    assert results[0]["properties"] == {"witness": "confirmed"}
-    assert "properties" not in results[1]
-    # Minimal SARIF 2.1.0 shape invariants.
-    assert log["version"] == "2.1.0"
-    for result in results:
-        assert result["locations"][0]["physicalLocation"]["region"][
-            "startLine"] > 0
-
-
-def test_witness_verdict_lands_in_json_only_when_present():
-    finding = LintFinding("repro/structures/x.py", 3, 0, "persist-order",
-                          "msg", properties={"witness": "static-only"})
-    plain = LintFinding("repro/structures/y.py", 4, 0, "persist-order",
-                        "msg")
-    payload = json.loads(findings_to_json([finding, plain]))
-    tagged, bare = payload["findings"]
-    assert tagged["witness"] == "static-only"
-    assert sorted(bare) == ["col", "line", "message", "path", "rule"]
+            def run(clock):
+                clock.advance(stamp())
+                clock.advance(bench_stamp())
+        """,
+    })
+    assert keys_of(findings) == [
+        ("repro.workloads.drive", 6, "det-taint"),
+        ("repro.workloads.perfbench_util", 2, "sim-determinism"),
+    ]
