@@ -6,191 +6,58 @@ per-operation transactions, this backend binds the *generated* module
 with ``begin()``/``end()`` gates inserted by the staticcheck
 persist-order auto-fix pass (``python -m repro.staticcheck.autogen``).
 No hand-written gate site exists on the data path — the structure code
-carries the fixer's gates, and this accessor gives them undo-logging
-semantics identical to the PMDK baseline: first touch of a line logs
-its old value (TX_ADD), commit CLWBs every dirtied line, fences,
-publishes the transaction id with one store, and fences again.
+carries the fixer's gates, and the PMDK baseline's undo accessor gives
+them its semantics: first touch of a line logs its old value (TX_ADD),
+commit CLWBs every dirtied line, fences, publishes the transaction id
+with one store, and fences again.
 
 Two departures from the hand-written baseline, both consequences of
 auto-placement rather than choices:
 
 * Gates nest. A gated region in ``put`` calls the allocator, whose own
-  metadata stores arrive while the gate is open; the accessor keeps a
-  depth counter and commits only when the outermost gate closes, so
-  allocator state rolls back with the operation that allocated.
+  metadata stores arrive while the gate is open; the accessor commits
+  only when the outermost gate closes, so allocator state rolls back
+  with the operation that allocated.
 * Stores *between* gated regions (the fixer only gates regions its
   must-analysis found uncovered inside one function — e.g. the
   trailing ``free`` after ``_grow``) hit the accessor at depth zero.
   Each such store runs as its own minimal transaction, so it is
-  individually atomic and recovery stays sound; the worst a crash
-  between two mini-transactions can do is leak a free block.
+  individually atomic and recovery stays sound: a crash inside one rolls
+  it back, and the worst a crash between two mini-transactions can do
+  is leak a free block.
 """
 
-import contextlib
-
-from repro.baselines.base import StructureBackend
-from repro.baselines.wal import DurableCells, Wal, WalLayout
 from repro.baselines._autopass_gen import HashMap as AutoHashMap
-from repro.errors import LogError
-from repro.libpax.allocator import PmAllocator
-from repro.libpax.machine import HEAP_PHYS_BASE, HostMachine
-from repro.mem.accessor import MemoryAccessor
-from repro.pm.flush import FlushModel
-from repro.util.bitops import split_lines
-from repro.util.constants import CACHE_LINE_SIZE
+from repro.baselines.pmdk import UndoTxAccessor
+from repro.baselines.wal import WalBackend
 
 
-class AutopassAccessor(MemoryAccessor):
-    """Undo logging driven by fixer-inserted ``begin()``/``end()`` gates.
+class AutopassAccessor(UndoTxAccessor):
+    """The undo accessor behind fixer-inserted ``begin()``/``end()`` gates.
 
-    The structure code calls the gates; the accessor owns transaction
-    ids, the undo log, and the commit sequence. Depth-zero stores are
-    wrapped in a one-store mini-transaction as a safety net.
+    Depth-zero stores run as a one-store mini-transaction, a safety net
+    for stores the fixer left between gated regions.
     """
 
-    def __init__(self, inner, wal, space, flush, machine, cells):
-        self._inner = inner
-        self._wal = wal
-        self._space = space
-        self._flush = flush
-        self._machine = machine
-        self._cells = cells
-        self._depth = 0
-        self._tx_id = None
-        self._next_tx = cells.committed_tx + 1
-        self._logged = set()
-        self._dirty = set()
-        #: Committed gate transactions (perfbench's gate-count column).
-        self.gate_commits = 0
-        #: Optional tracer told about transaction boundaries.
-        self.tracer = None
-
-    # -- gate protocol -----------------------------------------------------
-
-    def begin(self):
-        """Open a gate; the outermost open starts a transaction."""
-        if self._depth == 0:
-            self._tx_id = self._next_tx
-            self._logged.clear()
-            self._dirty.clear()
-            if self.tracer is not None:
-                self.tracer.on_tx_begin(self._tx_id)
-        self._depth += 1
-
-    def end(self):
-        """Close a gate; the outermost close commits the transaction."""
-        if self._depth == 0:
-            raise LogError("gate underflow: end() without begin()")
-        self._depth -= 1
-        if self._depth == 0:
-            self._commit()
-
-    @contextlib.contextmanager
-    def transaction(self):
-        """``with``-style gate (the fixer's ``with`` idiom)."""
-        self.begin()
-        try:
-            yield self
-        finally:
-            self.end()
-
-    @property
-    def in_tx(self):
-        """True while any gate is open."""
-        return self._depth > 0
-
-    def reset(self, next_tx):
-        """Drop open-gate state after a crash (recovery rolled it back)."""
-        self._depth = 0
-        self._tx_id = None
-        self._next_tx = next_tx
-        self._logged.clear()
-        self._dirty.clear()
-
-    def _commit(self):
-        """PMDK-ordered publish: CLWB dirty lines, SFENCE, id, SFENCE."""
-        if self.tracer is not None:
-            self.tracer.on_tx_end()
-        for line in sorted(self._dirty):
-            phys = HEAP_PHYS_BASE + line
-            self._flush.clwb(phys, CACHE_LINE_SIZE)
-            self._machine.hierarchy.writeback_line(phys)
-        self._flush.sfence()
-        self._cells.committed_tx = self._tx_id
-        self._flush.sfence()
-        self._next_tx = self._tx_id + 1
-        self._tx_id = None
-        self._logged.clear()
-        self._dirty.clear()
-        self._wal.reset()
-        self.gate_commits += 1
-
-    # -- data path ---------------------------------------------------------
-
-    def read(self, addr, length):
-        return self._inner.read(addr, length)
-
     def write(self, addr, data):
-        data = bytes(data)
-        if self._depth == 0:
-            # Ungated store (allocator metadata between gated regions):
-            # run it as its own minimal transaction.
-            self.begin()
-            try:
-                self._tx_write(addr, data)
-            finally:
-                self.end()
+        if self._depth:
+            super().write(addr, data)
         else:
-            self._tx_write(addr, data)
+            self.run(super().write, addr, data)
 
-    def _tx_write(self, addr, data):
-        for line, _off, _len in split_lines(addr, len(data)):
-            if line not in self._logged:
-                # TX_ADD: the durable pre-image is the pre-tx PM state,
-                # so snapshot the medium, not the caches.
-                old = self._space.read(HEAP_PHYS_BASE + line,
-                                       CACHE_LINE_SIZE)
-                self._wal.append(self._tx_id, line, old, fence=True)
-                self._logged.add(line)
-            self._dirty.add(line)
-        self._inner.write(addr, data)
+    def commit_initial(self):
+        """Nothing to commit: every store of the structure's creation
+        already ran as its own mini-transaction."""
 
 
-class AutopassBackend(StructureBackend):
+class AutopassBackend(WalBackend):
     """Auto-instrumented undo-WAL hash table on PM."""
 
     name = "autopass"
-    crash_consistent = True
-
-    def __init__(self, heap_size=64 * 1024 * 1024, wal_size=None,
-                 capacity=1024, **machine_kwargs):
-        super().__init__()
-        self._machine = HostMachine(media="pm", heap_size=heap_size,
-                                    **machine_kwargs)
-        if wal_size is None:
-            wal_size = min(4 * 1024 * 1024, heap_size // 8)
-        self._layout = WalLayout(heap_size, wal_size)
-        self._flush = FlushModel(self._machine.clock, self._machine.latency)
-        self._cells = DurableCells(self._machine, self._layout)
-        self._wal = Wal(self._machine, self._layout, self._flush)
-        self._tx = AutopassAccessor(self._machine.mem(), self._wal,
-                                    self._machine.space, self._flush,
-                                    self._machine, self._cells)
-        self._capacity = capacity
-        if self._cells.root == 0:
-            self._alloc = PmAllocator.create(self._tx,
-                                             self._layout.arena_limit)
-            self._bind_structure(self._tx, self._alloc, capacity=capacity)
-            # Every store above committed through a gate or mini-tx, so
-            # the empty structure is already durable; publish its root.
-            self._cells.root = self._map.root
-            self._flush.sfence()
-        else:
-            self._alloc = PmAllocator.attach(self._tx)
-            self._reattach_structure(self._tx, self._alloc, self._cells.root)
+    accessor_class = AutopassAccessor
 
     # The generated module, not repro.structures.hashmap: same code,
-    # plus the fixer's gates.
+    # plus the fixer's gates, so put/remove run unwrapped.
 
     def _bind_structure(self, mem, allocator, capacity=1024):
         self._map = AutoHashMap.create(mem, allocator, capacity=capacity)
@@ -199,49 +66,6 @@ class AutopassBackend(StructureBackend):
         self._map = AutoHashMap.attach(mem, allocator, root)
 
     @property
-    def machine(self):
-        return self._machine
-
-    def attach_tracer(self, tracer):
-        """Wire a sanitizer/tracer into the machine, WAL, and accessor."""
-        self._machine.attach_tracer(tracer)
-        self._flush.tracer = tracer
-        self._wal.tracer = tracer
-        self._cells.tracer = tracer
-        self._tx.tracer = tracer
-        tracer.on_backend_attach(self, self._layout)
-
-    def persist(self):
-        """Gate commits are synchronously durable; nothing extra to do."""
-
-    # -- crash / recovery --------------------------------------------------
-
-    def restart(self):
-        """Reboot, roll back any uncommitted transaction, re-attach."""
-        self._machine.restart()
-        committed = self._cells.committed_tx
-        to_undo = [entry for entry in self._wal.scan()
-                   if entry.epoch > committed]
-        for entry in reversed(to_undo):
-            data = entry.data.ljust(CACHE_LINE_SIZE, b"\x00")
-            self._machine.space.write(HEAP_PHYS_BASE + entry.addr, data)
-        self._wal.reset()
-        self._tx.reset(committed + 1)
-        self._alloc = PmAllocator.attach(self._tx)
-        self._reattach_structure(self._tx, self._alloc, self._cells.root)
-        return len(to_undo)
-
-    @property
     def gate_count(self):
         """Committed gate transactions (auto-placed-gate accounting)."""
         return self._tx.gate_commits
-
-    @property
-    def sfence_count(self):
-        """Ordering stalls so far."""
-        return self._flush.sfence_count
-
-    @property
-    def wal_bytes(self):
-        """Bytes of undo log written (write-amplification accounting)."""
-        return self._wal.stats.get("bytes")

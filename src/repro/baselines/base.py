@@ -10,8 +10,10 @@ comparison set:
 ``pmdk``          hand-crafted synchronous undo WAL (Fig 2b lower; paper §2)
 ``redo``          redo-log WAL variant
 ``compiler``      compiler-injected per-store logging (Atlas/iDO style)
+``autopass``      undo WAL behind gates placed by the staticcheck fixer
 ``mprotect``      page-fault interposition at 4 KiB granularity [12,15,20]
 ``pax``           the contribution (vPM through the accelerator)
+``hybrid``        paging + PAX: direct reads, vPM writes (paper §5.1)
 ================  ============================================================
 
 A backend exposes ``put/get/remove`` plus ``persist()`` (group-commit
@@ -28,8 +30,10 @@ class KvBackend:
 
     #: Short name used in benchmark tables.
     name = "abstract"
-    #: Does the scheme guarantee crash consistency?
-    crash_consistent = False
+    #: The crash contract: ``"per-op"`` (every completed operation
+    #: survives a crash), ``"per-persist"`` (a crash recovers the state
+    #: of the last ``persist()``) or ``"none"``.
+    durability = "none"
 
     def __init__(self):
         self.stats = StatGroup(self.name)
@@ -114,6 +118,10 @@ class StructureBackend(KvBackend):
         self._c_puts = self.stats.counter("puts")
         self._c_gets = self.stats.counter("gets")
         self._c_removes = self.stats.counter("removes")
+
+    @property
+    def machine(self):
+        return self._machine
 
     def _bind_structure(self, mem, allocator, capacity=1024):
         self._map = HashMap.create(mem, allocator, capacity=capacity)

@@ -16,31 +16,23 @@ recovery semantics match PMDK; only the hot-path cost differs.
 """
 
 from repro.baselines.pmdk import PmdkBackend, UndoTxAccessor
-from repro.libpax.allocator import PmAllocator
-from repro.libpax.machine import HEAP_PHYS_BASE
 from repro.util.bitops import split_lines
-from repro.util.constants import CACHE_LINE_SIZE
 
 
 class PerStoreTxAccessor(UndoTxAccessor):
     """Undo logging with per-store flush+fence (no commit-time batching)."""
 
-    def __init__(self, inner, wal, space, flush, machine):
-        super().__init__(inner, wal, space)
-        self._flush = flush
-        self._machine = machine
-
     def write(self, addr, data):
         data = bytes(data)
         super().write(addr, data)
-        if self.in_tx:
+        if self._depth:
             # The pass cannot prove the store is covered by a later flush,
             # so it eagerly persists it: CLWB the line(s), SFENCE. The
             # lines are durable now, so commit need not revisit them.
-            for line, _off, _len in split_lines(addr, len(data)):
-                self._flush.clwb(line, CACHE_LINE_SIZE)
-                self._machine.hierarchy.writeback_line(HEAP_PHYS_BASE + line)
-                self._dirty.discard(line)
+            lines = [line for line, _off, _len
+                     in split_lines(addr, len(data))]
+            self._write_back(lines)
+            self._dirty.difference_update(lines)
             self._flush.sfence()
 
 
@@ -48,15 +40,11 @@ class CompilerPassBackend(PmdkBackend):
     """Per-store instrumented undo-WAL hash table on PM."""
 
     name = "compiler"
-    crash_consistent = True
+    accessor_class = PerStoreTxAccessor
 
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
-        # Swap in the eager accessor and rebind structure + allocator so
-        # every subsequent store goes through it. (The heap written by the
-        # parent constructor is already durable and committed.)
-        self._tx = PerStoreTxAccessor(self._machine.mem(), self._wal,
-                                      self._machine.space, self._flush,
-                                      self._machine)
-        self._alloc = PmAllocator.attach(self._tx)
-        self._reattach_structure(self._tx, self._alloc, self._cells.root)
+        # The instrumented program reopens the committed heap once; the
+        # loads of that re-attach are part of the construction time
+        # tests/test_cache_mechanisms.py pins.
+        self._reattach()

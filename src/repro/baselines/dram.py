@@ -14,7 +14,6 @@ class DramBackend(StructureBackend):
     """Volatile hash table in DRAM."""
 
     name = "dram"
-    crash_consistent = False
 
     def __init__(self, heap_size=64 * 1024 * 1024, capacity=1024, **machine_kwargs):
         super().__init__()
@@ -24,10 +23,6 @@ class DramBackend(StructureBackend):
         self._alloc = PmAllocator.create(self._mem, heap_size)
         self._bind_structure(self._mem, self._alloc, capacity=capacity)
         self._capacity = capacity
-
-    @property
-    def machine(self):
-        return self._machine
 
     def restart(self):
         """Reboot: DRAM is empty; start over with a fresh table."""

@@ -32,6 +32,7 @@ committed bytes.
 
 from repro.baselines.base import StructureBackend
 from repro.errors import ProtocolError
+from repro.libpax.allocator import PmAllocator
 from repro.libpax.machine import HEAP_PHYS_BASE
 from repro.libpax.pool import PaxPool
 from repro.cache.homes import HostHome
@@ -131,7 +132,7 @@ class HybridBackend(StructureBackend):
     """Hash table on the paging+PAX hybrid."""
 
     name = "hybrid"
-    crash_consistent = True
+    durability = "per-persist"
 
     def __init__(self, pool_size=64 * 1024 * 1024, log_size=4 * 1024 * 1024,
                  capacity=1024, link="cxl", pax_config=None,
@@ -141,18 +142,10 @@ class HybridBackend(StructureBackend):
                                      link=link, pax_config=pax_config,
                                      **machine_kwargs)
         machine = self.pool.machine
-        # Expose the same pool PM at a second, host-homed physical range.
-        direct_space = AddressSpace()
-        direct_space.map_device(DIRECT_BASE, machine.pm)
-        lat = machine.latency
-        home = _DirectReadOnlyHome("pm_direct_view", direct_space,
-                                   lat.media.pm_read_ns,
-                                   lat.media.pm_write_ns)
-        machine.hierarchy.add_home(DIRECT_BASE, machine.pm.size, home)
+        self._add_direct_home()
         self._direct_view_base = DIRECT_BASE + machine.pool.data_base
         self._mem = HybridAccessor(machine, self._direct_view_base)
         # Rebind pool plumbing to the hybrid accessor.
-        from repro.libpax.allocator import PmAllocator
         self._alloc = PmAllocator.create_or_attach(self._mem,
                                                    machine.heap_size)
         root = machine.pool.root_ptr
@@ -167,6 +160,17 @@ class HybridBackend(StructureBackend):
     def machine(self):
         return self.pool.machine
 
+    def _add_direct_home(self):
+        """Expose the pool PM at a second, host-homed physical range."""
+        machine = self.pool.machine
+        direct_space = AddressSpace()
+        direct_space.map_device(DIRECT_BASE, machine.pm)
+        lat = machine.latency
+        home = _DirectReadOnlyHome("pm_direct_view", direct_space,
+                                   lat.media.pm_read_ns,
+                                   lat.media.pm_write_ns)
+        machine.hierarchy.add_home(DIRECT_BASE, machine.pm.size, home)
+
     def persist(self):
         """PAX snapshot, then flip every written page back to direct."""
         latency = self.pool.persist()
@@ -178,15 +182,8 @@ class HybridBackend(StructureBackend):
         report = self.pool.restart()
         machine = self.pool.machine
         # The rebooted hierarchy needs the direct home registered again.
-        direct_space = AddressSpace()
-        direct_space.map_device(DIRECT_BASE, machine.pm)
-        lat = machine.latency
-        home = _DirectReadOnlyHome("pm_direct_view", direct_space,
-                                   lat.media.pm_read_ns,
-                                   lat.media.pm_write_ns)
-        machine.hierarchy.add_home(DIRECT_BASE, machine.pm.size, home)
+        self._add_direct_home()
         self._mem = HybridAccessor(machine, self._direct_view_base)
-        from repro.libpax.allocator import PmAllocator
         self._alloc = PmAllocator.attach(self._mem)
         self._reattach_structure(self._mem, self._alloc,
                                  machine.pool.root_ptr)

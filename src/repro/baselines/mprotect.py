@@ -15,6 +15,7 @@ first-touch, and 64x write amplification in the log (4 KiB per page vs
 import struct
 
 from repro.baselines.base import StructureBackend
+from repro.baselines.wal import DurableCells
 from repro.errors import LogError
 from repro.libpax.allocator import PmAllocator
 from repro.libpax.machine import HEAP_PHYS_BASE, HostMachine
@@ -30,8 +31,6 @@ PAGE_ENTRY_HEADER = 64
 PAGE_ENTRY_SIZE = PAGE_ENTRY_HEADER + PAGE_SIZE
 
 _HEADER = struct.Struct("<IIQQI")       # magic, pad, epoch, addr, crc
-
-_U64 = struct.Struct("<Q")
 
 
 class _PageLogLayout:
@@ -96,7 +95,7 @@ class MprotectBackend(StructureBackend):
     """Page-fault tracked, epoch-snapshotted hash table on PM."""
 
     name = "mprotect"
-    crash_consistent = True
+    durability = "per-persist"
 
     def __init__(self, heap_size=64 * 1024 * 1024, log_pages=None,
                  capacity=1024, **machine_kwargs):
@@ -108,13 +107,13 @@ class MprotectBackend(StructureBackend):
             log_pages = max(16, heap_size // (4 * PAGE_ENTRY_SIZE))
         self._layout = _PageLogLayout(heap_size, log_pages)
         self._flush = FlushModel(self._machine.clock, self._machine.latency)
+        self._cells = DurableCells(self._machine, self._layout)
         self._log = PageLog(self._machine, self._layout)
         self._table = PageTable(0, self._layout.arena_limit)
         self._mem = FaultingAccessor(self._machine.mem(), self._table,
                                      self._on_fault)
-        self._epoch = self._read_cell(self._layout.commit_cell) + 1
-        self._capacity = capacity
-        root = self._read_cell(self._layout.root_cell)
+        self._epoch = self._cells.committed_tx + 1
+        root = self._cells.root
         if root == 0:
             # Build the initial structure unprotected, then take the first
             # snapshot to establish epoch 1.
@@ -122,24 +121,11 @@ class MprotectBackend(StructureBackend):
                                              self._layout.arena_limit)
             self._bind_structure(self._mem, self._alloc, capacity=capacity)
             self.persist()
-            self._write_cell(self._layout.root_cell, self._map.root)
+            self._cells.root = self._map.root
         else:
             self._alloc = PmAllocator.attach(self._mem)
             self._reattach_structure(self._mem, self._alloc, root)
             self._table.protect_all(PagePermission.READ)
-
-    # -- durable cells -----------------------------------------------------------
-
-    def _read_cell(self, offset):
-        return _U64.unpack(
-            self._machine.space.read(HEAP_PHYS_BASE + offset, 8))[0]
-
-    def _write_cell(self, offset, value):
-        self._machine.space.write(HEAP_PHYS_BASE + offset, _U64.pack(value))
-
-    @property
-    def machine(self):
-        return self._machine
 
     # -- fault handling -----------------------------------------------------------
 
@@ -161,7 +147,7 @@ class MprotectBackend(StructureBackend):
             for line in range(page, page + PAGE_SIZE, CACHE_LINE_SIZE):
                 self._machine.hierarchy.writeback_line(HEAP_PHYS_BASE + line)
         self._flush.sfence()
-        self._write_cell(self._layout.commit_cell, self._epoch)
+        self._cells.committed_tx = self._epoch
         self._flush.sfence()
         self._log.reset()
         self._table.clear_dirty()
@@ -174,7 +160,7 @@ class MprotectBackend(StructureBackend):
     def restart(self):
         """Reboot; roll back pages of the uncommitted epoch."""
         self._machine.restart()
-        committed = self._read_cell(self._layout.commit_cell)
+        committed = self._cells.committed_tx
         to_undo = [(epoch, addr, page) for epoch, addr, page in self._log.scan()
                    if epoch > committed]
         for _epoch, addr, page in reversed(to_undo):
@@ -185,8 +171,7 @@ class MprotectBackend(StructureBackend):
         self._mem = FaultingAccessor(self._machine.mem(), self._table,
                                      self._on_fault)
         self._alloc = PmAllocator.attach(self._mem)
-        self._reattach_structure(self._mem, self._alloc,
-                                 self._read_cell(self._layout.root_cell))
+        self._reattach_structure(self._mem, self._alloc, self._cells.root)
         self._table.protect_all(PagePermission.READ)
         return len(to_undo)
 

@@ -17,7 +17,7 @@ class PaxBackend(StructureBackend):
     """Hash table on vPM through the PAX accelerator."""
 
     name = "pax"
-    crash_consistent = True
+    durability = "per-persist"
 
     def __init__(self, pool_size=64 * 1024 * 1024, log_size=4 * 1024 * 1024,
                  capacity=1024, link="cxl", pax_config=None, **machine_kwargs):
@@ -53,8 +53,8 @@ class PaxBackend(StructureBackend):
         return self.machine.device.undo.stats.get("drained") * ENTRY_SIZE
 
 
-def make_backend(name, **kwargs):
-    """Factory over every backend by short name."""
+def backend_classes():
+    """Every backend class, by short name."""
     from repro.baselines.autopass import AutopassBackend
     from repro.baselines.compiler_pass import CompilerPassBackend
     from repro.baselines.dram import DramBackend
@@ -63,17 +63,15 @@ def make_backend(name, **kwargs):
     from repro.baselines.pm_direct import PmDirectBackend
     from repro.baselines.pmdk import PmdkBackend
     from repro.baselines.redo import RedoBackend
-    classes = {
-        "dram": DramBackend,
-        "pm_direct": PmDirectBackend,
-        "pmdk": PmdkBackend,
-        "redo": RedoBackend,
-        "compiler": CompilerPassBackend,
-        "autopass": AutopassBackend,
-        "mprotect": MprotectBackend,
-        "pax": PaxBackend,
-        "hybrid": HybridBackend,
-    }
+    return {cls.name: cls for cls in (
+        DramBackend, PmDirectBackend, PmdkBackend, RedoBackend,
+        CompilerPassBackend, AutopassBackend, MprotectBackend, PaxBackend,
+        HybridBackend)}
+
+
+def make_backend(name, **kwargs):
+    """Factory over every backend by short name."""
+    classes = backend_classes()
     try:
         cls = classes[name]
     except KeyError:

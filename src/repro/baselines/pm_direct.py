@@ -22,7 +22,6 @@ class PmDirectBackend(StructureBackend):
     """Hash table directly on PM; fast and unsafe."""
 
     name = "pm_direct"
-    crash_consistent = False
 
     def __init__(self, heap_size=64 * 1024 * 1024, capacity=1024, eadr=False,
                  **machine_kwargs):
@@ -33,10 +32,6 @@ class PmDirectBackend(StructureBackend):
         self._alloc = PmAllocator.create(self._mem, heap_size)
         self._bind_structure(self._mem, self._alloc, capacity=capacity)
         self.eadr = eadr
-
-    @property
-    def machine(self):
-        return self._machine
 
     def crash(self):
         if self.eadr:

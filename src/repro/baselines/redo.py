@@ -16,51 +16,78 @@ entries (idempotent); newer entries are discarded — the structure was
 never touched in place before commit, so discarding is rollback.
 """
 
-from repro.baselines.base import StructureBackend
-from repro.baselines.wal import DurableCells, Wal, WalLayout
+from repro.baselines.wal import TxAccessor, WalBackend
 from repro.errors import LogError
-from repro.libpax.allocator import PmAllocator
-from repro.libpax.machine import HEAP_PHYS_BASE, HostMachine
-from repro.mem.accessor import MemoryAccessor
-from repro.pm.flush import FlushModel
+from repro.libpax.machine import HEAP_PHYS_BASE
 from repro.util.bitops import split_lines
 from repro.util.constants import CACHE_LINE_SIZE
 
 
-class RedoTxAccessor(MemoryAccessor):
+class RedoTxAccessor(TxAccessor):
     """Write-set overlay: stores buffer per line until commit."""
 
-    def __init__(self, inner):
-        self._inner = inner
-        self._tx_active = False
+    def __init__(self, machine, wal, flush, cells):
+        super().__init__(machine, wal, flush, cells)
+        self._active = False
         self._overlay = {}            # line_addr -> bytearray(64)
-        #: Optional tracer told about transaction boundaries.
-        self.tracer = None
 
     def begin(self):
-        """Open a transaction; clears the write-set overlay."""
-        if self._tx_active:
+        """Open a transaction with an empty write-set overlay."""
+        if self._active:
             raise LogError("nested transactions are not supported")
-        self._tx_active = True
-        self._overlay.clear()
+        self._active = True
         if self.tracer is not None:
             self.tracer.on_tx_begin()
 
-    @property
-    def in_tx(self):
-        """True while a transaction is open."""
-        return self._tx_active
-
-    def overlay_lines(self):
-        """The write set: ``[(line_addr, bytes)]`` in first-touch order."""
-        return [(addr, bytes(data)) for addr, data in self._overlay.items()]
-
     def end(self):
-        """Close the transaction and drop the overlay."""
-        self._tx_active = False
+        """Commit: log the write set, publish, then apply it in place."""
+        write_set = [(line, bytes(data))
+                     for line, data in self._overlay.items()]
+        tx_id = self._next_tx
+        # 1. Log every new value (NT stores pipeline; one fence).
+        for line, data in write_set:
+            self._wal.append(tx_id, line, data, fence=False)
+        # 2. Publish.
+        self._publish(tx_id)
+        # 3. Apply in place (through the caches) and persist the
+        # application so the WAL can be reused for the next transaction.
+        for line, data in write_set:
+            self._inner.write(line, data)
+        self._write_back(line for line, _data in write_set)
+        if write_set:
+            self._flush.sfence()
+        self.close()
+        self._next_tx = tx_id + 1
+        self._wal.reset()
+
+    def close(self):
+        """Close the transaction without committing; drops the overlay."""
+        self._active = False
         self._overlay.clear()
         if self.tracer is not None:
             self.tracer.on_tx_end()
+
+    def commit_initial(self):
+        """Write back every line the structure's creation dirtied."""
+        self._write_back(line - HEAP_PHYS_BASE
+                         for line in self._machine.hierarchy.dirty_lines())
+        self._flush.sfence()
+
+    def recover(self):
+        """Re-apply the entries of committed transactions (idempotent) and
+        discard the rest; returns the number of entries re-applied."""
+        committed = self._cells.committed_tx
+        replayed = 0
+        for entry in self._wal.scan():
+            if entry.epoch <= committed:
+                data = entry.data.ljust(CACHE_LINE_SIZE, b"\x00")
+                self._space.write(HEAP_PHYS_BASE + entry.addr, data)
+                replayed += 1
+        self._wal.reset()
+        self._next_tx = committed + 1
+        return replayed
+
+    # -- data path ---------------------------------------------------------
 
     def _overlay_line(self, line):
         data = self._overlay.get(line)
@@ -70,7 +97,7 @@ class RedoTxAccessor(MemoryAccessor):
         return data
 
     def read(self, addr, length):
-        if not self._tx_active or not self._overlay:
+        if not self._active or not self._overlay:
             return self._inner.read(addr, length)
         out = bytearray()
         for line, offset, chunk in split_lines(addr, length):
@@ -82,7 +109,7 @@ class RedoTxAccessor(MemoryAccessor):
 
     def write(self, addr, data):
         data = bytes(data)
-        if not self._tx_active:
+        if not self._active:
             self._inner.write(addr, data)
             return
         cursor = 0
@@ -91,122 +118,17 @@ class RedoTxAccessor(MemoryAccessor):
             overlay[offset:offset + chunk] = data[cursor:cursor + chunk]
             cursor += chunk
 
-    def apply(self):
-        """Commit phase: write the overlay in place (through the caches)."""
-        for line, data in self._overlay.items():
-            self._inner.write(line, bytes(data))
 
-
-class RedoBackend(StructureBackend):
+class RedoBackend(WalBackend):
     """Redo-WAL hash table on PM."""
 
     name = "redo"
-    crash_consistent = True
-
-    def __init__(self, heap_size=64 * 1024 * 1024, wal_size=None,
-                 capacity=1024, **machine_kwargs):
-        super().__init__()
-        self._machine = HostMachine(media="pm", heap_size=heap_size,
-                                    **machine_kwargs)
-        if wal_size is None:
-            # Default: an eighth of the heap, capped at 4 MiB.
-            wal_size = min(4 * 1024 * 1024, heap_size // 8)
-        self._layout = WalLayout(heap_size, wal_size)
-        self._flush = FlushModel(self._machine.clock, self._machine.latency)
-        self._cells = DurableCells(self._machine, self._layout)
-        self._wal = Wal(self._machine, self._layout, self._flush)
-        self._tx = RedoTxAccessor(self._machine.mem())
-        self._next_tx = self._cells.committed_tx + 1
-        self._capacity = capacity
-        if self._cells.root == 0:
-            self._alloc = PmAllocator.create(self._tx, self._layout.arena_limit)
-            self._bind_structure(self._tx, self._alloc, capacity=capacity)
-            for line in self._machine.hierarchy.dirty_lines():
-                self._flush.clwb(line - HEAP_PHYS_BASE, CACHE_LINE_SIZE)
-                self._machine.hierarchy.writeback_line(line)
-            self._flush.sfence()
-            self._cells.root = self._map.root
-            self._flush.sfence()
-        else:
-            self._alloc = PmAllocator.attach(self._tx)
-            self._reattach_structure(self._tx, self._alloc, self._cells.root)
-
-    @property
-    def machine(self):
-        return self._machine
-
-    def attach_tracer(self, tracer):
-        """Wire a sanitizer/tracer into the machine, WAL, and accessor."""
-        self._machine.attach_tracer(tracer)
-        self._flush.tracer = tracer
-        self._wal.tracer = tracer
-        self._cells.tracer = tracer
-        self._tx.tracer = tracer
-        tracer.on_backend_attach(self, self._layout)
-
-    def _run_tx(self, operation):
-        self._tx.begin()
-        try:
-            result = operation()
-            write_set = self._tx.overlay_lines()
-            # 1. Log every new value (NT stores pipeline; one fence).
-            for line, data in write_set:
-                self._wal.append(self._next_tx, line, data, fence=False)
-            self._flush.sfence()
-            # 2. Publish.
-            self._cells.committed_tx = self._next_tx
-            self._flush.sfence()
-            # 3. Apply in place and persist the application so the WAL can
-            # be reused for the next transaction.
-            self._tx.apply()
-            for line, _data in write_set:
-                self._flush.clwb(line, CACHE_LINE_SIZE)
-                self._machine.hierarchy.writeback_line(HEAP_PHYS_BASE + line)
-            if write_set:
-                self._flush.sfence()
-        finally:
-            self._tx.end()
-        self._next_tx += 1
-        self._wal.reset()
-        return result
+    accessor_class = RedoTxAccessor
 
     def put(self, key, value):
         self._c_puts.value += 1
-        return self._run_tx(lambda: self._map.put(key, value))
+        return self._tx.run(self._map.put, key, value)
 
     def remove(self, key):
         self._c_removes.value += 1
-        return self._run_tx(lambda: self._map.remove(key))
-
-    def get(self, key, default=None):
-        self._c_gets.value += 1
-        return self._map.get(key, default)
-
-    def persist(self):
-        """Transactions are durable at commit; nothing extra to do."""
-
-    def restart(self):
-        """Reboot; re-apply committed WAL entries, discard uncommitted."""
-        self._machine.restart()
-        committed = self._cells.committed_tx
-        replayed = 0
-        for entry in self._wal.scan():
-            if entry.epoch <= committed:
-                data = entry.data.ljust(CACHE_LINE_SIZE, b"\x00")
-                self._machine.space.write(HEAP_PHYS_BASE + entry.addr, data)
-                replayed += 1
-        self._wal.reset()
-        self._next_tx = committed + 1
-        self._alloc = PmAllocator.attach(self._tx)
-        self._reattach_structure(self._tx, self._alloc, self._cells.root)
-        return replayed
-
-    @property
-    def sfence_count(self):
-        """Ordering stalls so far."""
-        return self._flush.sfence_count
-
-    @property
-    def wal_bytes(self):
-        """Bytes of redo log written."""
-        return self._wal.stats.get("bytes")
+        return self._tx.run(self._map.remove, key)

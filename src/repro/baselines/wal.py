@@ -1,11 +1,16 @@
 """Shared write-ahead-log machinery for the software baselines.
 
-The PMDK-style, compiler-pass, and redo backends all need: a log region
-carved out of the top of the PM heap, written with non-temporal stores
-(bypassing the CPU caches, so an entry is durable the moment it is
-written), a transaction-commit cell updated with a single atomic 8-byte
-store, and a root-pointer cell so reopening after a crash can find the
-structure.
+The PMDK-style, compiler-pass, autopass and redo backends all need: a
+log region carved out of the top of the PM heap, written with
+non-temporal stores (bypassing the CPU caches, so an entry is durable
+the moment it is written), a transaction-commit cell updated with a
+single atomic 8-byte store, and a root-pointer cell so reopening after a
+crash can find the structure.
+
+:class:`WalBackend` builds that machinery once for all four. What
+differs between the schemes lives in one :class:`TxAccessor` subclass
+per scheme, which owns the log protocol from ``begin()`` to
+``recover()``.
 
 Heap layout (structure-space offsets)::
 
@@ -18,10 +23,15 @@ Heap layout (structure-space offsets)::
     root_cell    = heap - 64     structure root offset (atomic u64)
 """
 
+import contextlib
 import struct
 
+from repro.baselines.base import StructureBackend
 from repro.errors import LogError
-from repro.libpax.machine import HEAP_PHYS_BASE
+from repro.libpax.allocator import PmAllocator
+from repro.libpax.machine import HEAP_PHYS_BASE, HostMachine
+from repro.mem.accessor import MemoryAccessor
+from repro.pm.flush import FlushModel
 from repro.pm.log import ENTRY_SIZE, POISON, decode_entry, encode_entry
 from repro.util.bitops import align_down
 from repro.util.constants import CACHE_LINE_SIZE
@@ -149,3 +159,142 @@ class Wal:
                 return
             yield entry
             offset += ENTRY_SIZE
+
+
+class TxAccessor(MemoryAccessor):
+    """A WAL scheme's transaction protocol, from ``begin()`` to recovery.
+
+    Structure code stores through the accessor. A subclass decides what
+    a store inside a transaction costs and implements ``begin()``,
+    ``end()`` (the outermost end commits), ``close()`` (end without
+    committing), ``commit_initial()`` (make the structure built outside
+    any transaction durable) and ``recover()`` (roll the WAL forward or
+    back after a crash; returns the number of entries applied).
+    """
+
+    def __init__(self, machine, wal, flush, cells):
+        self._inner = machine.mem()
+        self._machine = machine
+        self._space = machine.space
+        self._wal = wal
+        self._flush = flush
+        self._cells = cells
+        self._next_tx = cells.committed_tx + 1
+        #: Optional tracer told about transaction boundaries.
+        self.tracer = None
+
+    def run(self, operation, *args):
+        """Run ``operation(*args)`` as one transaction; returns its result.
+
+        On any exception (an injected crash included) the transaction
+        closes without committing, and the exception propagates.
+        """
+        self.begin()
+        try:
+            result = operation(*args)
+            self.end()
+        except BaseException:
+            self.close()
+            raise
+        return result
+
+    @contextlib.contextmanager
+    def transaction(self):
+        """``with``-style gate (the fixer's ``with`` idiom), as :meth:`run`."""
+        self.begin()
+        try:
+            yield self
+        except BaseException:
+            self.close()
+            raise
+        self.end()
+
+    def _write_back(self, lines):
+        """CLWB each structure-space line of ``lines``, writing it to PM."""
+        flush = self._flush
+        hierarchy = self._machine.hierarchy
+        for line in lines:
+            phys = HEAP_PHYS_BASE + line
+            flush.clwb(phys, CACHE_LINE_SIZE)
+            hierarchy.writeback_line(phys)
+
+    def _publish(self, tx_id):
+        """Fence what came before, publish ``tx_id``, fence the publish."""
+        self._flush.sfence()
+        self._cells.committed_tx = tx_id
+        self._flush.sfence()
+
+
+class WalBackend(StructureBackend):
+    """A hash table on PM, made crash consistent by a software WAL.
+
+    Builds the PM machine, the WAL and its cells, and one accessor of
+    class :attr:`accessor_class`, which owns the scheme's protocol.
+    Subclasses keep only what differs between schemes.
+    """
+
+    durability = "per-op"
+    #: The :class:`TxAccessor` subclass that implements the scheme.
+    accessor_class = None
+
+    def __init__(self, heap_size=64 * 1024 * 1024, wal_size=None,
+                 capacity=1024, **machine_kwargs):
+        super().__init__()
+        self._machine = HostMachine(media="pm", heap_size=heap_size,
+                                    **machine_kwargs)
+        if wal_size is None:
+            # Default: an eighth of the heap, capped at 4 MiB.
+            wal_size = min(4 * 1024 * 1024, heap_size // 8)
+        self._layout = WalLayout(heap_size, wal_size)
+        self._flush = FlushModel(self._machine.clock, self._machine.latency)
+        self._cells = DurableCells(self._machine, self._layout)
+        self._wal = Wal(self._machine, self._layout, self._flush)
+        self._tx = self.accessor_class(self._machine, self._wal, self._flush,
+                                       self._cells)
+        if self._cells.root:
+            self._reattach()
+        else:
+            self._alloc = PmAllocator.create(self._tx,
+                                             self._layout.arena_limit)
+            self._bind_structure(self._tx, self._alloc, capacity=capacity)
+            # Make the empty structure durable before publishing its root.
+            self._tx.commit_initial()
+            self._cells.root = self._map.root
+            self._flush.sfence()
+
+    def _reattach(self):
+        """Open the allocator and the structure at the published root."""
+        self._alloc = PmAllocator.attach(self._tx)
+        self._reattach_structure(self._tx, self._alloc, self._cells.root)
+
+    def attach_tracer(self, tracer):
+        """Wire a sanitizer/tracer into the machine, WAL, and accessor."""
+        self._machine.attach_tracer(tracer)
+        self._flush.tracer = tracer
+        self._wal.tracer = tracer
+        self._cells.tracer = tracer
+        self._tx.tracer = tracer
+        tracer.on_backend_attach(self, self._layout)
+
+    def persist(self):
+        """Transactions are durable at commit; nothing extra to do."""
+
+    def restart(self):
+        """Reboot, run the scheme's WAL recovery, re-attach.
+
+        Returns the number of WAL entries recovery applied.
+        """
+        self._machine.restart()
+        recovered = self._tx.recover()
+        self._reattach()
+        return recovered
+
+    @property
+    def sfence_count(self):
+        """Ordering stalls so far — the paper's overhead argument in a number."""
+        return self._flush.sfence_count
+
+    @property
+    def wal_bytes(self):
+        """Bytes of WAL written (write-amplification accounting)."""
+        return self._wal.stats.get("bytes")

@@ -23,14 +23,15 @@ specified.) Everything else — a content mismatch, an untyped exception,
 a ``struct.error`` escaping the recovery path — is a failure, recorded
 with the iteration's seed and plan so it replays exactly.
 
-A second target (``--target autopass``) fuzzes a WAL *backend* instead
-of the PAX pool: the auto-instrumented ``autopass`` backend runs a
-random put/remove workload mirrored into a plain dict, is cut by a
+The other targets (``--target pmdk``, ``redo``, ``compiler`` or
+``autopass``: every backend that declares ``durability = "per-op"``)
+fuzz a WAL *backend* instead of the PAX pool: the backend runs a random
+put/remove workload mirrored into a plain dict, is cut by a
 :class:`~repro.crashtest.injector.CrashInjector` at a random store
 count (including mid-``put``, mid-``remove``, and mid-resize), and must
 recover to the completed-op state plus at most an atomic prefix of the
 in-flight operation (:func:`~repro.crashtest.checker.
-check_prefix_atomic`). Under ``--sanitize`` that target runs with
+check_prefix_atomic`). Under ``--sanitize`` a backend target runs with
 WalSan attached, so a missing-undo or fence-inversion during the
 workload is a failure even if recovery happens to get lucky.
 
@@ -43,6 +44,7 @@ Run from the command line::
 import argparse
 import sys
 
+from repro.baselines.pax import backend_classes, make_backend
 from repro.cache.cache import CacheConfig
 from repro.crashtest.checker import (
     SnapshotTracker,
@@ -70,9 +72,11 @@ LOG_SIZE = 64 * 1024
 KEY_SPACE = 16
 MAX_STORES_UNTIL_CRASH = 300
 
-#: Backend targets ``--target`` accepts besides the default PAX pool.
+#: Backend targets ``--target`` accepts besides the default PAX pool:
+#: every backend whose declared crash contract is per-op durability.
 #: Tiny capacity so the workload's key space forces a mid-run resize.
-BACKEND_TARGETS = ("autopass",)
+BACKEND_TARGETS = tuple(name for name, cls in backend_classes().items()
+                        if cls.durability == "per-op")
 BACKEND_WAL_SIZE = 128 * 1024
 BACKEND_CAPACITY = 4
 
@@ -249,7 +253,7 @@ class _BackendPlan:
 
 
 def run_backend_iteration(seed, backend_name="autopass", sanitize=False):
-    """One backend-mode fuzz iteration (``--target autopass``).
+    """One backend-mode fuzz iteration (``--target <backend>``).
 
     Builds the named per-op-durable WAL backend on a small PM heap
     (capacity 4, so the 16-key workload forces at least one resize),
@@ -261,7 +265,6 @@ def run_backend_iteration(seed, backend_name="autopass", sanitize=False):
     violation is a failure. Returns ``(outcome, crashed_in_flight)``
     like :func:`run_iteration`.
     """
-    from repro.baselines.pax import make_backend
     from repro.crashtest.injector import CrashInjector
     from repro.sanitizer import WalSanitizer
 

@@ -22,8 +22,7 @@ from repro.replay.equivalence import structure_stat_groups
 #: Backend scalar attributes restored after replay (the structure layer
 #: does not run during replay, so its volatile accounting is carried in
 #: the trace footer as deltas). Dotted paths resolved with getattr.
-SCALAR_PATHS = ("_gate_commits", "_next_tx", "_tx.gate_commits",
-                "_tx._next_tx")
+SCALAR_PATHS = ("_tx.gate_commits", "_tx._next_tx")
 
 
 def _resolve(obj, path):

@@ -67,7 +67,8 @@ class Tracer:
         """The pool's epoch record is being advanced to ``epoch``."""
 
     def on_clwb(self, addr, num_lines):
-        """``num_lines`` cache-line write-backs were issued at ``addr``."""
+        """``num_lines`` cache-line write-backs were issued at physical
+        ``addr``."""
 
     def on_fence(self):
         """An SFENCE ordered (drained) every prior flush/NT store."""

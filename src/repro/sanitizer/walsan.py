@@ -16,11 +16,11 @@ WAL/flush-model events:
     it covers, which is precisely the reordering SFENCE exists to
     forbid.
 
-Attach with ``WalSanitizer().attach(backend)`` where ``backend`` is a
-:class:`~repro.baselines.pmdk.PmdkBackend` or
-:class:`~repro.baselines.redo.RedoBackend`. Stores outside transactions
-(structure initialization, recovery rollback) are exempt by design —
-they precede the first commit publish and need no log coverage.
+Attach with ``WalSanitizer().attach(backend)`` where ``backend`` is any
+:class:`~repro.baselines.wal.WalBackend` (pmdk, compiler, autopass or
+redo). Stores outside transactions (structure initialization, recovery
+rollback) are exempt by design — they precede the first commit publish
+and need no log coverage.
 """
 
 from repro.sanitizer.base import (

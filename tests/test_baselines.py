@@ -4,11 +4,12 @@ import pytest
 
 from repro.baselines import make_backend
 from repro.errors import ConfigError
+from repro.libpax.machine import HEAP_PHYS_BASE
+from repro.sanitizer.base import Tracer
 from tests.conftest import small_cache_kwargs
 
 ALL_BACKENDS = ["dram", "pm_direct", "pmdk", "redo", "compiler",
                 "mprotect", "pax"]
-CONSISTENT = ["pmdk", "redo", "compiler", "mprotect", "pax"]
 
 
 def build(name, **kwargs):
@@ -142,3 +143,25 @@ class TestSchemeSpecific:
         for key in range(200):        # forces several resizes
             backend.put(key, key)
         assert backend.to_dict() == {key: key for key in range(200)}
+
+
+class _ClwbRecorder(Tracer):
+    def __init__(self):
+        self.addrs = []
+
+    def on_clwb(self, addr, num_lines):
+        self.addrs.append(addr)
+
+
+@pytest.mark.parametrize("name", ["pmdk", "compiler", "autopass", "redo"])
+def test_wal_backends_clwb_physical_addresses(name):
+    # on_clwb means one thing on every backend: a physical address, like
+    # on_store — never a structure-space offset.
+    backend = build(name, capacity=4)
+    recorder = _ClwbRecorder()
+    backend.attach_tracer(recorder)
+    for key in range(20):
+        backend.put(key, key)
+    heap_end = HEAP_PHYS_BASE + backend.machine.heap_size
+    assert recorder.addrs
+    assert all(HEAP_PHYS_BASE <= addr < heap_end for addr in recorder.addrs)

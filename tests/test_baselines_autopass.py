@@ -4,6 +4,7 @@ the same WAL machinery as the hand-written pmdk backend."""
 import pytest
 
 from repro.baselines import AutopassBackend, make_backend
+from repro.crashtest import CrashInjector
 from repro.errors import LogError
 from repro.sanitizer import WalSanitizer
 from tests.conftest import small_cache_kwargs
@@ -20,7 +21,7 @@ def test_registry_and_flags():
     backend = build()
     assert isinstance(backend, AutopassBackend)
     assert backend.name == "autopass"
-    assert backend.crash_consistent
+    assert backend.durability == "per-op"
 
 
 def test_basic_ops_and_grow():
@@ -100,6 +101,21 @@ def test_crash_recover_with_open_gate():
     assert backend.to_dict() == base
     backend.put(99, 990)            # gates still work post-recovery
     assert backend.get(99) == 990
+
+
+def test_crash_inside_mini_transaction_rolls_it_back():
+    # A depth-zero store runs as a one-store transaction; a crash that
+    # cuts it must leave it uncommitted, so recovery undoes its TX_ADD.
+    backend = build()
+    for key in range(8):
+        backend.put(key, key)
+    committed = backend._cells.committed_tx
+    injector = CrashInjector(backend.machine)
+    injector.arm(0)
+    assert injector.run(lambda: backend._tx.write(64, b"\x42" * 8))
+    assert backend._cells.committed_tx == committed
+    assert backend.restart() == 1
+    assert backend.to_dict() == {key: key for key in range(8)}
 
 
 def test_sim_ns_parity_with_pmdk():

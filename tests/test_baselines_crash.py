@@ -1,25 +1,87 @@
-"""Crash consistency contracts per scheme, including mid-operation cuts."""
+"""Crash consistency contracts per scheme, including mid-operation cuts.
+
+Each backend class declares its contract once (``durability``); the
+parametrizations below are derived from those declarations.
+"""
+
+import os
 
 import pytest
 
 from repro.baselines import make_backend
+from repro.baselines.pax import backend_classes
 from repro.crashtest import CrashInjector, check_prefix_atomic, count_stores
 from tests.conftest import small_cache_kwargs
 
-PER_OP_DURABLE = ["pmdk", "redo", "compiler", "autopass"]
-SNAPSHOT = ["mprotect", "pax"]
+
+def declaring(durability):
+    """Names of the backends whose class declares ``durability``."""
+    return [name for name, cls in backend_classes().items()
+            if cls.durability == durability]
 
 
 def build(name):
     kwargs = dict(heap_size=4 * 1024 * 1024, capacity=64)
-    if name == "pax":
+    if name in ("pax", "hybrid"):
         kwargs = dict(pool_size=4 * 1024 * 1024, log_size=256 * 1024,
                       capacity=64)
     kwargs.update(small_cache_kwargs())
     return make_backend(name, **kwargs)
 
 
-@pytest.mark.parametrize("name", PER_OP_DURABLE)
+def test_every_backend_declares_its_contract():
+    # Pinned so a changed declaration cannot silently drop a backend
+    # from the contract tests below.
+    declared = {name: cls.durability
+                for name, cls in backend_classes().items()}
+    assert declared == {
+        "dram": "none", "pm_direct": "none",
+        "pmdk": "per-op", "redo": "per-op", "compiler": "per-op",
+        "autopass": "per-op",
+        "mprotect": "per-persist", "pax": "per-persist",
+        "hybrid": "per-persist",
+    }
+
+
+def test_fuzz_targets_cover_every_per_op_backend():
+    # `make fuzz`/`make fuzz-smoke` loop over the Makefile's
+    # FUZZ_BACKENDS; it must name exactly the fuzzer's derived targets.
+    from repro.crashtest.fuzz import BACKEND_TARGETS
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "Makefile")) as handle:
+        line = next(text for text in handle
+                    if text.startswith("FUZZ_BACKENDS ="))
+    assert line.split("=", 1)[1].split() == list(BACKEND_TARGETS)
+
+
+#: Simulated clock right after restart(), and restart()'s count of WAL
+#: entries undone (undo schemes) or re-applied (redo), for a crash two
+#: CPU stores into a put(). Recovery's cost must not drift.
+RESTART_PINS = {
+    "pmdk": (22211.3, 2),
+    "compiler": (32234.7, 2),
+    "autopass": (32629.3, 2),
+    "redo": (17921.8, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESTART_PINS))
+def test_restart_cost_pinned(name):
+    backend = build(name)
+    for key in range(10):
+        backend.put(key, key)
+    injector = CrashInjector(backend.machine)
+    injector.arm(2)
+    assert injector.run(lambda: backend.put(99, 990))
+    recovered = backend.restart()
+    now_ns, count = RESTART_PINS[name]
+    assert backend.now_ns == pytest.approx(now_ns, abs=1e-6)
+    assert recovered == count
+    check_prefix_atomic(backend.to_dict(), [("put", 99, 990)],
+                        base_state={key: key for key in range(10)})
+
+
+@pytest.mark.parametrize("name", declaring("per-op"))
 class TestPerOpDurability:
     def test_all_completed_ops_survive(self, name):
         backend = build(name)
@@ -61,10 +123,10 @@ class TestPerOpDurability:
                 continue
             fresh.restart()
             check_prefix_atomic(fresh.to_dict(), [("put", 99, 990)],
-                                base_state=fresh.to_dict() if False else base)
+                                base_state=base)
 
 
-@pytest.mark.parametrize("name", SNAPSHOT)
+@pytest.mark.parametrize("name", declaring("per-persist"))
 class TestSnapshotSemantics:
     def test_recovers_to_last_persist_exactly(self, name):
         backend = build(name)

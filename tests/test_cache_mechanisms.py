@@ -208,8 +208,10 @@ class TestStackAndSpecs:
 
 #: Absolute machine clock after perfbench's standard drive (ops=2000,
 #: records=400, seed=42) at the default (no-mechanism) configuration —
-#: captured before the mechanism zoo landed. The default miss path must
-#: execute the exact pre-zoo arithmetic, backend by backend.
+#: captured before the mechanism zoo landed (redo, mprotect and hybrid
+#: later, before the WAL backends shared one base class). The default
+#: miss path must execute the exact pre-zoo arithmetic, backend by
+#: backend.
 GOLDEN_DEFAULT_SIM_NS = {
     ("dram", "store_heavy"): 104032,
     ("dram", "mixed"): 104032,
@@ -223,6 +225,12 @@ GOLDEN_DEFAULT_SIM_NS = {
     ("autopass", "mixed"): 1457241,
     ("pax", "store_heavy"): 386320,
     ("pax", "mixed"): 386320,
+    ("redo", "store_heavy"): 1710438,
+    ("redo", "mixed"): 1203238,
+    ("mprotect", "store_heavy"): 343526,
+    ("mprotect", "mixed"): 343526,
+    ("hybrid", "store_heavy"): 425278,
+    ("hybrid", "mixed"): 425278,
 }
 
 

@@ -141,14 +141,14 @@ def test_wal_missing_undo_on_unlogged_tx_store():
     from repro.baselines.pmdk import PmdkBackend
     backend = PmdkBackend(heap_size=4 * 1024 * 1024)
     WalSanitizer().attach(backend)
-    backend._tx.begin(99)
+    backend._tx.begin()
     try:
         # Store into the arena around the TX_ADD interposer: no WAL
         # entry covers the line.
         with pytest.raises(SanitizerError) as excinfo:
             backend._machine.mem().write(256, b"\x01" * 8)
     finally:
-        backend._tx.end()
+        backend._tx.close()
     assert excinfo.value.rule == RULE_MISSING_UNDO
 
 
