@@ -99,7 +99,8 @@ class HybridAccessor(MemoryAccessor):
     # -- data path ----------------------------------------------------------------
 
     def read(self, addr, length):
-        self._machine.check_alive()
+        if self._machine.crashed:
+            self._machine.check_alive()
         out = bytearray()
         for page, offset, chunk in split_pages(addr, length):
             base = (HEAP_PHYS_BASE if self._is_vpm(page)
@@ -113,7 +114,8 @@ class HybridAccessor(MemoryAccessor):
         return bytes(out)
 
     def write(self, addr, data):
-        self._machine.check_alive()
+        if self._machine.crashed:
+            self._machine.check_alive()
         data = bytes(data)
         if self._machine.store_hook is not None:
             self._machine.store_hook(addr, data)

@@ -18,9 +18,13 @@ Homes the vPM physical range. Servicing:
   the calling thread.
 
 Background work (log drain, gated write-back) runs off the simulated
-clock: the machine registers :meth:`background_tick` as a clock callback,
-so device-side asynchrony advances whenever host time does.
+clock: the machine attaches the device to its clock
+(:meth:`attach_clock`), so device-side asynchrony advances whenever host
+time does — and an idle device, whose ticks would change nothing, stays
+off the clock's busy count until work arrives.
 """
+
+import weakref
 
 from repro.cache.mechanisms import make_mechanisms
 from repro.core.config import PaxConfig
@@ -32,6 +36,7 @@ from repro.cxl import messages as msg
 from repro.errors import AddressError, ProtocolError
 from repro.pm.log import UndoLogRegion
 from repro.util.constants import CACHE_LINE_SIZE
+from repro.util.fastpath import fast_path_enabled
 from repro.util.stats import StatGroup
 
 
@@ -62,15 +67,21 @@ class PaxDevice:
                                               self.config)
         from repro.core.pipeline import PersistPipeline
         self.pipeline = PersistPipeline(self)
-        # background_tick fires on every clock advance; bind its three
-        # targets once (the logger/coordinator/pipeline live as long as
-        # the device).
+        # background_tick fires on every clock advance while the device
+        # has work; bind its three targets once (the logger/coordinator/
+        # pipeline live as long as the device).
         self._undo_drain = self.undo.drain_budget
         # undo.seq_for without its wrapper frame: the logger clears its
         # line -> seq dict in place at each epoch, never replaces it.
         self._seq_for = self.undo._logged.get
         self._wb_drain = self.writeback.drain_budget
         self._pipeline_poll = self.pipeline.poll
+        #: The clock this device ticks on (a weak proxy; see
+        #: attach_clock) and its place in that clock's ``busy`` count:
+        #: True = counted, False = left it (idle, no credit), None =
+        #: never leaves (unattached, or on the slow path).
+        self._clock = None
+        self._on_clock = None
         self.stats = StatGroup("pax_device")
         # Per-message counters bound once (hot-path-stat-lookup rule).
         stats = self.stats
@@ -123,7 +134,13 @@ class PaxDevice:
         handler = self._handlers.get(type(message))
         if handler is None:
             raise ProtocolError("PAX cannot handle %r" % (message,))
-        return handler(message)
+        result = handler(message)
+        if self._on_clock is False \
+                and (self.undo._pending or self.writeback._buffer):
+            # Work for an idle device: back on the clock.
+            self._on_clock = True
+            self._clock.busy += 1
+        return result
 
     def _clean_evict(self, message):
         self._c_clean_evicts.value += 1
@@ -343,6 +360,11 @@ class PaxDevice:
             if fresh is not None:
                 seq = self._seq_for(pool_addr)
                 self.writeback.buffer_line(pool_addr, fresh, seq)
+                if self._on_clock is False:
+                    # wake(), inline: between two snoops the device can
+                    # drain the line and go idle again, once per line.
+                    self._on_clock = True
+                    self._clock.busy += 1
         # 2+3. Make every undo record durable, then write all buffered
         # lines to PM (flush_all enforces that order internally).
         pumped_bytes, lines_written = self.writeback.flush_all()
@@ -370,18 +392,54 @@ class PaxDevice:
 
     # -- background asynchrony ---------------------------------------------------
 
+    def attach_clock(self, clock):
+        """Tick on ``clock``; returns the callback registered there.
+
+        The device holds the clock through a weak proxy: the clock's
+        callback list already holds the device, and a strong reference
+        back would make every machine a reference cycle. On the fast
+        path an idle device leaves the clock's busy count; under
+        ``REPRO_SLOW_PATH=1`` it ticks on every advance, which is the
+        spec the skipping is checked against.
+        """
+        tick = self.background_tick
+        clock.on_advance(tick)
+        self._clock = weakref.proxy(clock)
+        self._on_clock = True if fast_path_enabled() else None
+        return tick
+
+    def wake(self):
+        """Work arrived: count an idle device back in on its clock.
+
+        :class:`~repro.core.pipeline.PersistPipeline` calls this where
+        its snoops buffer a line and where it starts an epoch;
+        :meth:`handle_message` and :meth:`persist`, where the device can
+        go idle and come back once per message or snoop, do the same
+        inline.
+        """
+        if self._on_clock is False:
+            self._on_clock = True
+            self._clock.busy += 1
+
+    def detach_clock(self, tick):
+        """Unregister ``tick`` (from :meth:`attach_clock`) at a crash."""
+        # Counted in first, idle or not, so the removal uncounts it once.
+        self.wake()
+        self._clock.remove_callback(tick)
+        self._clock = None
+        self._on_clock = None
+
     def background_tick(self, prev_ns, now_ns):
         """Clock callback: drain log records and ready write-backs.
 
-        This fires on *every* clock advance — i.e. once per cache access —
-        so it goes through locally bound references.
+        This fires on every clock advance while the device has work, and
+        so goes through locally bound references.
         """
         delta_s = (now_ns - prev_ns) / 1e9
         config = self.config
-        # Credit always accrues (a later burst may spend it), but the
-        # drain loops and the pipeline scan only run when there is work:
-        # in steady state the pending tail and flight list are empty and
-        # this callback is three float adds and three truth tests.
+        # While there is work, credit accrues at the drain rates and the
+        # drain loops spend it; the pipeline scan only runs with epochs
+        # in flight.
         undo = self.undo
         undo._drain_credit += config.log_drain_bps * delta_s
         if undo._pending:
@@ -390,8 +448,19 @@ class PaxDevice:
         writeback._drain_credit += config.writeback_drain_bps * delta_s
         if writeback._buffer:
             self._wb_drain(0.0)
-        if self.pipeline._flights:
+        pipeline = self.pipeline
+        if pipeline._flights:
             self._pipeline_poll()
+        if not (undo._pending or writeback._buffer or pipeline._flights):
+            # Idle: bank no credit, so a burst after an idle stretch
+            # drains at the configured rates. Every further idle tick
+            # would add credit and zero it again — a no-op — so the
+            # device leaves the clock's busy count until work arrives.
+            undo._drain_credit = 0.0
+            writeback._drain_credit = 0.0
+            if self._on_clock:
+                self._on_clock = False
+                self._clock.busy -= 1
 
     # -- crash ---------------------------------------------------------------------
 

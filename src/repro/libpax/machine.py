@@ -59,13 +59,18 @@ class CpuAccessor(MemoryAccessor):
 
     def read(self, addr, length):
         machine = self._machine
-        machine.check_alive()
+        # check_alive() only on the rare crashed machine: a live access
+        # pays one attribute test, no call. The hierarchy is read per
+        # access because restart() rebuilds it.
+        if machine.crashed:
+            machine.check_alive()
         return machine.hierarchy.load(self._core, addr + HEAP_PHYS_BASE,
                                       length)
 
     def write(self, addr, data):
         machine = self._machine
-        machine.check_alive()
+        if machine.crashed:
+            machine.check_alive()
         if machine.store_hook is not None:
             machine.store_hook(addr, data)
         machine.hierarchy.store(self._core, addr + HEAP_PHYS_BASE, data)
@@ -229,8 +234,7 @@ class PaxMachine(_BaseMachine):
             self.snoop_port = HostSnoopPort(self.link, self.hierarchy)
             home = PaxHome(self.port)
         self.hierarchy.add_home(HEAP_PHYS_BASE, self.pool.data_size, home)
-        self._tick = self.device.background_tick
-        self.clock.on_advance(self._tick)
+        self._tick = self.device.attach_clock(self.clock)
 
     def _propagate_tracer(self):
         super()._propagate_tracer()
@@ -314,7 +318,7 @@ class PaxMachine(_BaseMachine):
             self.tracer.on_machine_crash()
         self.hierarchy.drop_all()
         self.device.on_crash()
-        self.clock.remove_callback(self._tick)
+        self.device.detach_clock(self._tick)
         self.crashed = True
         self.stats.counter("crashes").add(1)
 

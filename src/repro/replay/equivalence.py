@@ -117,11 +117,6 @@ def structure_stat_groups(backend):
     return {"backend.stats": stats} if isinstance(stats, StatGroup) else {}
 
 
-def _histogram_state(hist):
-    return (hist.count, hist.total, hist._sum_sq, hist.min, hist.max,
-            tuple(hist._reservoir))
-
-
 def fingerprint(backend):
     """Flat dict capturing every spec-visible bit of ``backend``."""
     out = {"sim_ns": backend.machine.clock.now_ns}
@@ -130,7 +125,7 @@ def fingerprint(backend):
             for name, value in obj.counters().items():
                 out["%s:%s" % (path, name)] = value
             for name, hist in obj.histograms().items():
-                out["%s:%s" % (path, name)] = _histogram_state(hist)
+                out["%s:%s" % (path, name)] = hist.state()
         else:   # MemoryDevice: durable bytes + media wear
             out["%s:sha256" % path] = hashlib.sha256(
                 bytes(obj._data)).hexdigest()

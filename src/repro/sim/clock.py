@@ -18,6 +18,13 @@ class SimClock:
     ``(previous_ns, now_ns)`` and performs whatever background work fits in
     that interval. That is how "the device logs asynchronously while the
     CPU keeps running" is modelled without real threads.
+
+    :attr:`busy` counts the registered callbacks that currently want
+    ticks. A callback whose ticks would change nothing (an idle PAX
+    device with no banked credit) decrements it, and increments it again,
+    inline, when work arrives or before it is removed. While it is 0 an
+    advance runs no callback, so a caller may add to :attr:`now_ns`
+    itself, which is the same float add :meth:`advance` does.
     """
 
     def __init__(self, start_ns=0):
@@ -25,8 +32,10 @@ class SimClock:
             raise ConfigError("clock cannot start before time zero")
         #: Current simulated time in nanoseconds. A plain attribute, so
         #: per-event readers (bandwidth limiters, tracers) pay no call;
-        #: only :meth:`advance` writes it.
+        #: only :meth:`advance` and idle-clock callers (above) write it.
         self.now_ns = start_ns
+        #: Registered callbacks that currently want ticks.
+        self.busy = 0
         self._callbacks = []
         self._in_callback = False
 
@@ -39,10 +48,11 @@ class SimClock:
             return self.now_ns
         previous = self.now_ns
         self.now_ns = previous + delta_ns
-        if self._callbacks and not self._in_callback:
+        if self.busy and not self._in_callback:
             # Guard against re-entrant advancement from inside a callback;
             # background work observes time but must not create more of it
-            # recursively.
+            # recursively. Every callback runs, idle ones included: an
+            # idle callback's tick is a no-op by the contract above.
             self._in_callback = True
             try:
                 for callback in self._callbacks:
@@ -52,13 +62,16 @@ class SimClock:
         return self.now_ns
 
     def on_advance(self, callback):
-        """Register ``callback(prev_ns, now_ns)`` to run on every advance."""
+        """Register ``callback(prev_ns, now_ns)``, counted as busy."""
         self._callbacks.append(callback)
+        self.busy += 1
 
     def remove_callback(self, callback):
-        """Unregister a previously registered callback (no-op if absent)."""
+        """Unregister a previously registered, busy-counted callback
+        (no-op if absent)."""
         if callback in self._callbacks:
             self._callbacks.remove(callback)
+            self.busy -= 1
 
     def __repr__(self):
         return "SimClock(now=%d ns)" % self.now_ns

@@ -62,6 +62,9 @@ _HOT_PATH_METHODS = {
         "invalidate"}),
     "cache/homes.py": frozenset({"acquire", "writeback"}),
     "cache/coherence.py": frozenset({"set_state", "drop"}),
+    # The L1-hit chain, end to end: read_u64/write_u64 ->
+    # CpuAccessor.read/write -> CacheHierarchy.load/store.
+    "mem/accessor.py": frozenset({"read_u64", "write_u64"}),
     "mem/physical.py": frozenset({"read", "write"}),
     "mem/address_space.py": frozenset({"read", "write"}),
     "mem/layout.py": frozenset({"get", "set"}),
@@ -84,7 +87,7 @@ _HOT_PATH_METHODS = {
     "core/writeback.py": frozenset({
         "buffer_line", "_evict_one", "drain_budget", "_write_to_pm"}),
     "core/hbm.py": frozenset({"get", "put", "invalidate"}),
-    "libpax/machine.py": frozenset({"acquire", "writeback"}),
+    "libpax/machine.py": frozenset({"acquire", "writeback", "read", "write"}),
     "structures/hashmap.py": frozenset({
         "put", "get", "remove", "_bucket_addr"}),
     "baselines/base.py": frozenset({"put", "get", "remove"}),
@@ -93,6 +96,7 @@ _HOT_PATH_METHODS = {
     "baselines/wal.py": frozenset({"append", "reset"}),
     "replay/engine.py": frozenset({"_replay_generic", "_handlers"}),
     "replay/recorder.py": frozenset({"_emit"}),
+    "util/stats.py": frozenset({"record"}),
 }
 
 #: Method names on a stats group whose call-per-event is the smell.

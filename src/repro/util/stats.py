@@ -40,40 +40,52 @@ class Histogram:
     Good enough for latency summaries without storing every sample; also
     records a small reservoir for percentile estimates in reports.
 
-    :meth:`record` sits on the simulator's per-access critical path
-    (every cache access charges latency through one), so it does strictly
-    O(1) arithmetic: all percentile work — sorting the reservoir — is
-    deferred to :meth:`percentile` and cached there until new samples
-    arrive.
+    :meth:`record` sits on the simulator's per-access critical path, so
+    it does strictly O(1) arithmetic: all percentile work — sorting the
+    reservoir — is deferred to :meth:`percentile` and cached there until
+    new samples arrive. The very hottest sample, an L1 hit, costs no
+    call at all: the owner bumps :attr:`run`, a count of not-yet-folded
+    samples of the fixed value :attr:`run_value`, and :meth:`record`,
+    :meth:`reset` and every reader fold that run in first — sample by
+    sample, with :meth:`record`'s float operations in its order, so the
+    accumulators end up bit-identical to eager recording.
     """
 
     RESERVOIR_SIZE = 4096
 
-    __slots__ = ("name", "count", "total", "min", "max",
-                 "_sum_sq", "_reservoir", "_sorted", "_sorted_at")
+    __slots__ = ("name", "run", "run_value", "_count", "_total", "_min",
+                 "_max", "_sum_sq", "_reservoir", "_sorted", "_sorted_at")
 
     def __init__(self, name):
         self.name = name
-        self.count = 0
-        self.total = 0.0
-        self.min = math.inf
-        self.max = -math.inf
+        #: Pending samples of :attr:`run_value`, recorded after every
+        #: folded one (a plain attribute: the owner bumps it inline).
+        self.run = 0
+        #: The value every pending-run sample has; set once, before the
+        #: first bump.
+        self.run_value = 0.0
+        self._count = 0
+        self._total = 0.0
+        self._min = math.inf
+        self._max = -math.inf
         self._sum_sq = 0.0
         self._reservoir = []
         #: Sorted copy of the reservoir, valid only while ``_sorted_at``
-        #: equals ``count`` (lazily rebuilt by :meth:`percentile`).
+        #: equals ``_count`` (lazily rebuilt by :meth:`percentile`).
         self._sorted = None
         self._sorted_at = -1
 
     def record(self, value):
         """Record one sample."""
-        count = self.count = self.count + 1
-        self.total += value
+        if self.run:
+            self._fold()
+        count = self._count = self._count + 1
+        self._total += value
         self._sum_sq += value * value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
+        if value < self._min:
+            self._min = value
+        if value > self._max:
+            self._max = value
         reservoir = self._reservoir
         if len(reservoir) < self.RESERVOIR_SIZE:
             reservoir.append(value)
@@ -83,21 +95,98 @@ class Histogram:
             # deterministic (no RNG) and fine for report percentiles.
             reservoir[count % self.RESERVOIR_SIZE] = value
 
+    def _fold(self):
+        """Record the pending run: :meth:`record` of :attr:`run_value`,
+        :attr:`run` times, without the per-sample call.
+
+        Allocates nothing the garbage collector tracks, so folding
+        leaves collection timing (and so peak memory) as eager
+        recording would.
+        """
+        pending = self.run
+        self.run = 0
+        value = self.run_value
+        square = value * value
+        total = self._total
+        sum_sq = self._sum_sq
+        for _ in range(pending):
+            total += value
+            sum_sq += square
+        self._total = total
+        self._sum_sq = sum_sq
+        if value < self._min:
+            self._min = value
+        if value > self._max:
+            self._max = value
+        count = self._count
+        self._count = count + pending
+        size = self.RESERVOIR_SIZE
+        reservoir = self._reservoir
+        while pending and len(reservoir) < size:
+            reservoir.append(value)
+            count += 1
+            pending -= 1
+        # Once the reservoir is full, sample number n lands in slot
+        # n % size; only the run's last ``size`` samples can show.
+        first = count + 1
+        if pending > size:
+            first += pending - size
+        for n in range(first, count + 1 + pending):
+            reservoir[n % size] = value
+
+    @property
+    def count(self):
+        """Number of recorded samples."""
+        if self.run:
+            self._fold()
+        return self._count
+
+    @property
+    def total(self):
+        """Sum of all recorded samples."""
+        if self.run:
+            self._fold()
+        return self._total
+
+    @property
+    def min(self):
+        """Smallest recorded sample (``inf`` if empty)."""
+        if self.run:
+            self._fold()
+        return self._min
+
+    @property
+    def max(self):
+        """Largest recorded sample (``-inf`` if empty)."""
+        if self.run:
+            self._fold()
+        return self._max
+
     @property
     def mean(self):
         """Arithmetic mean of all recorded samples (0 if empty)."""
-        if self.count == 0:
+        count = self.count
+        if count == 0:
             return 0.0
-        return self.total / self.count
+        return self._total / count
 
     @property
     def stddev(self):
         """Population standard deviation of recorded samples."""
-        if self.count == 0:
+        count = self.count
+        if count == 0:
             return 0.0
-        mean = self.mean
-        variance = max(0.0, self._sum_sq / self.count - mean * mean)
+        mean = self._total / count
+        variance = max(0.0, self._sum_sq / count - mean * mean)
         return math.sqrt(variance)
+
+    def state(self):
+        """The raw accumulators, run folded in: ``(count, total, sum of
+        squares, min, max, reservoir tuple)`` — what equivalence
+        fingerprints compare, so one reassociated float add shows up."""
+        count = self.count
+        return (count, self._total, self._sum_sq, self._min, self._max,
+                tuple(self._reservoir))
 
     def percentile(self, p):
         """Estimate the ``p``-th percentile (0..100) from the reservoir.
@@ -106,11 +195,12 @@ class Histogram:
         percentiles in a row (p50/p99/p999) sorts at most once between
         samples.
         """
+        count = self.count
         if not self._reservoir:
             return 0.0
-        if self._sorted_at != self.count:
+        if self._sorted_at != count:
             self._sorted = sorted(self._reservoir)
-            self._sorted_at = self.count
+            self._sorted_at = count
         ordered = self._sorted
         if p <= 0:
             return ordered[0]
@@ -125,16 +215,17 @@ class Histogram:
         return ordered[lo] * (1 - frac) + ordered[hi] * frac
 
     def reset(self):
-        """Forget all samples.
+        """Forget all samples, the pending run's included.
 
         Fields are reset explicitly rather than by re-calling
         ``__init__`` so subclasses with richer constructors can reuse it
-        safely.
+        safely. :attr:`run_value` is configuration and survives.
         """
-        self.count = 0
-        self.total = 0.0
-        self.min = math.inf
-        self.max = -math.inf
+        self.run = 0
+        self._count = 0
+        self._total = 0.0
+        self._min = math.inf
+        self._max = -math.inf
         self._sum_sq = 0.0
         self._reservoir = []
         self._sorted = None

@@ -4,6 +4,7 @@ import pytest
 
 from repro.baselines import make_backend
 from repro.crashtest import CrashInjector
+from repro.errors import CrashedError
 from tests.conftest import small_cache_kwargs
 
 
@@ -91,6 +92,17 @@ class TestHybridCrash:
         assert crashed
         backend.restart()
         assert backend.to_dict() == snapshot
+
+    def test_accessor_rejects_access_while_crashed(self):
+        backend = build()
+        backend.put(1, 1)
+        backend.persist()
+        mem = backend._mem
+        backend.crash()
+        with pytest.raises(CrashedError):
+            mem.read_u64(0)
+        with pytest.raises(CrashedError):
+            mem.write_u64(0, 1)
 
     def test_repeated_cycles(self):
         backend = build()

@@ -24,6 +24,9 @@ and the trace cache start empty:
 Each count must stay at or below its budget plus 2%. A change that
 lowers a count should lower the budget to the new value.
 
+A fifth count is exact: one access to a line the core already holds in
+L1 makes :data:`L1_HIT_CALLS` calls (docs/performance.md, rule 2).
+
     PYTHONPATH=src python tests/test_call_budget.py   # print the counts
 """
 
@@ -31,6 +34,8 @@ import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 import repro
 
@@ -57,12 +62,17 @@ TRACE = {"workload": "mixed", "ops": 64, "records": 96, "seed": 1}
 #: Calls counted when this budget was set; a count may exceed its
 #: budget by at most :data:`SLACK`.
 BUDGET = {
-    "build_pax": 48823,
-    "build_pmdk": 25260,
-    "replay_pax": 18936,
-    "replay_pmdk": 31891,
+    "build_pax": 48720,
+    "build_pmdk": 25191,
+    "replay_pax": 14011,
+    "replay_pmdk": 29703,
 }
 SLACK = 0.02
+
+#: Calls one L1-hit access makes: ``read_u64``/``write_u64`` ->
+#: ``CpuAccessor.read``/``write`` -> ``CacheHierarchy.load``/``store``
+#: -> ``LruPolicy.on_access``.
+L1_HIT_CALLS = 4
 
 
 def count_calls(fn):
@@ -130,6 +140,35 @@ def test_calls_stay_within_budget():
             if count > BUDGET[name] * (1 + SLACK)}
     assert not over, "calls (count, budget) over budget + %d%%: %s" % (
         SLACK * 100, over)
+
+
+@pytest.mark.parametrize("shape", ("pax", "dram"))
+def test_l1_hit_makes_four_calls(monkeypatch, shape):
+    """No liveness call, no histogram call, and no clock call while the
+    clock is idle: on a PAX machine, once its device has drained."""
+    from repro.libpax.machine import HostMachine, PaxMachine
+    from repro.util.fastpath import SLOW_PATH_ENV
+
+    monkeypatch.setenv(SLOW_PATH_ENV, "0")
+    if shape == "pax":
+        machine = PaxMachine(pool_size=1 << 20, log_size=64 * 1024)
+    else:
+        machine = HostMachine("dram", heap_size=1 << 20)
+    mem = machine.mem()
+    mem.write_u64(64, 1)                 # the line is in L1, in M
+    machine.clock.advance(1_000_000)     # the device drains and idles
+    assert machine.clock.busy == 0
+    hits = machine.hierarchy.stats.histogram("access_ns")
+    recorded = hits.count
+    expected_ns = machine.clock.now_ns
+    assert count_calls(lambda: mem.read_u64(64)) == L1_HIT_CALLS
+    assert count_calls(lambda: mem.write_u64(64, 2)) == L1_HIT_CALLS
+    assert mem.read_u64(64) == 2
+    # The shortcut still charged and sampled all three hits.
+    for _hit in range(3):
+        expected_ns += machine.latency.cache.l1_ns
+    assert machine.clock.now_ns == expected_ns
+    assert hits.count == recorded + 3
 
 
 if __name__ == "__main__":

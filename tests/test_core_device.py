@@ -10,11 +10,15 @@ import pytest
 from repro.core.config import PaxConfig
 from repro.core.device import PaxDevice
 from repro.core.recovery import recover_pool
+from repro.core.replication import ReplicaTarget, Replicator
 from repro.cxl import messages as msg
 from repro.errors import AddressError, ProtocolError
+from repro.libpax.machine import PaxMachine
 from repro.pm.device import PmDevice
 from repro.pm.pool import Pool
+from repro.sim.clock import SimClock
 from repro.sim.latency import default_model
+from repro.util.fastpath import SLOW_PATH_ENV
 
 VPM_BASE = 1 << 32
 
@@ -186,6 +190,169 @@ class TestBackgroundTick:
         assert pax.undo.pending_count == 0
         assert len(pax.writeback) == 0
         assert pool.device.read(pool.data_base, 1) == b"\x77"
+
+
+class TestIdleDevice:
+    """An idle device banks no drain credit, and leaves its clock's busy
+    count until work arrives (docs/performance.md, rule 5)."""
+
+    @pytest.fixture
+    def ticking(self, monkeypatch):
+        monkeypatch.setenv(SLOW_PATH_ENV, "0")
+        pax, _pool = build()
+        clock = SimClock()
+        pax.attach_clock(clock)
+        return pax, clock
+
+    def test_burst_after_idle_drains_at_the_configured_rate(self):
+        pax, _pool = build()
+        pax.background_tick(0, 1_000_000)           # 1 ms with no work
+        assert pax.undo._drain_credit == 0.0
+        assert pax.writeback._drain_credit == 0.0
+        for line in range(20):
+            pax.handle_message(msg.RdOwn(VPM_BASE + 64 * line,
+                                         need_data=False))
+        pax.background_tick(1_000_000, 1_000_001)   # 1 ns at 2 GB/s
+        assert pax.undo.pending_count == 20
+        assert pax.undo._drain_credit == pytest.approx(2.0)
+
+    def test_busy_device_accrues_credit_as_before(self):
+        pax, _pool = build()
+        for line in range(20):
+            pax.handle_message(msg.RdOwn(VPM_BASE + 64 * line,
+                                         need_data=False))
+        pax.background_tick(0, 500)                 # 1000 B: ten records
+        assert pax.undo.pending_count == 10
+        assert pax.undo._drain_credit == pytest.approx(40.0)
+
+    def test_drained_device_leaves_the_busy_count(self, ticking):
+        pax, clock = ticking
+        assert clock.busy == 1
+        pax.handle_message(msg.RdOwn(VPM_BASE, need_data=False))
+        clock.advance(1_000_000)
+        assert pax.undo.pending_count == 0
+        assert clock.busy == 0
+        now = clock.now_ns
+        clock.advance(1_000)                        # skipped: no tick
+        assert clock.now_ns == now + 1_000
+        assert pax.undo._drain_credit == 0.0
+
+    def test_rd_own_counts_the_device_back_in(self, ticking):
+        pax, clock = ticking
+        clock.advance(1)
+        assert clock.busy == 0
+        pax.handle_message(msg.RdOwn(VPM_BASE, need_data=False))
+        assert clock.busy == 1
+
+    def test_dirty_evict_counts_the_device_back_in(self, ticking):
+        pax, clock = ticking
+        pax.handle_message(msg.RdOwn(VPM_BASE, need_data=False))
+        clock.advance(1_000_000)
+        assert clock.busy == 0
+        pax.handle_message(msg.DirtyEvict(VPM_BASE, b"\x42" * 64))
+        assert clock.busy == 1
+        clock.advance(1_000_000)                    # written back: idle
+        assert len(pax.writeback) == 0
+        assert clock.busy == 0
+
+    def test_work_free_messages_leave_it_idle(self, ticking):
+        pax, clock = ticking
+        pax.handle_message(msg.RdOwn(VPM_BASE, need_data=False))
+        clock.advance(1_000_000)
+        pax.handle_message(msg.RdShared(VPM_BASE + 64))
+        pax.handle_message(msg.RdOwn(VPM_BASE, need_data=False))  # dedup
+        assert clock.busy == 0
+
+    def test_persist_snoop_with_dirty_data_counts_it_back_in(self, ticking):
+        pax, clock = ticking
+        pax.handle_message(msg.RdOwn(VPM_BASE, need_data=True))
+        clock.advance(1_000_000)
+        assert clock.busy == 0
+        # No clock passed: the persist itself runs no tick, so the count
+        # it leaves behind is the snoop's.
+        pax.persist(StubSnoopPort(dirty={VPM_BASE: b"\x07" * 64}))
+        assert clock.busy == 1
+        clock.advance(1)
+        assert clock.busy == 0
+
+    def test_persist_async_counts_it_back_in(self, ticking):
+        pax, clock = ticking
+        pax.handle_message(msg.RdOwn(VPM_BASE, need_data=True))
+        clock.advance(1_000_000)
+        assert clock.busy == 0
+        flight, _ns = pax.persist_async(StubSnoopPort())
+        assert flight.committed
+        assert clock.busy == 1
+        clock.advance(1)
+        assert clock.busy == 0
+
+    def test_slow_path_device_never_leaves(self, monkeypatch):
+        monkeypatch.setenv(SLOW_PATH_ENV, "1")
+        pax, _pool = build()
+        clock = SimClock()
+        pax.attach_clock(clock)
+        pax.handle_message(msg.RdOwn(VPM_BASE, need_data=False))
+        clock.advance(1_000_000)
+        assert pax.undo.pending_count == 0
+        assert pax.undo._drain_credit == 0.0
+        assert clock.busy == 1
+
+
+def _tiny_machine(**config_kwargs):
+    return PaxMachine(pool_size=1 << 20, log_size=64 * 1024,
+                      pax_config=PaxConfig(**config_kwargs))
+
+
+class TestIdleDeviceOnAMachine:
+    """The busy count across crash/restart, and beside a second callback."""
+
+    def test_crash_restart_cycles_keep_the_count_exact(self, monkeypatch):
+        monkeypatch.setenv(SLOW_PATH_ENV, "0")
+        # A 1 MB/s log: a store's record is still pending when it returns.
+        machine = _tiny_machine(log_drain_bps=1e6)
+        mem = machine.mem()
+        clock = machine.clock
+        for cycle in range(10):
+            mem.write_u64(64 * (cycle + 1), cycle)
+            if cycle % 2:
+                clock.advance(1e9)           # crash an idle device
+                assert clock.busy == 0
+            else:
+                assert clock.busy == 1       # crash with a record pending
+            machine.crash()
+            assert clock.busy == 0
+            assert clock._callbacks == []
+            machine.restart()
+            assert clock.busy == 1
+            assert len(clock._callbacks) == 1
+        clock.advance(1e9)
+        assert clock.busy == 0
+
+    def test_replicator_ticks_while_the_device_idles(self, monkeypatch):
+        monkeypatch.setenv(SLOW_PATH_ENV, "0")
+        machine = _tiny_machine()
+        replica = ReplicaTarget(Pool.format(PmDevice("replica", 1 << 20),
+                                            log_size=64 * 1024))
+        ticks = []
+
+        class CountingReplicator(Replicator):
+            def _background_ship(self, prev_ns, now_ns):
+                ticks.append(now_ns)
+                super()._background_ship(prev_ns, now_ns)
+
+        CountingReplicator(machine, replica, mode="async")
+        mem = machine.mem()
+        mem.write_u64(64, 1)
+        machine.persist()
+        machine.clock.advance(1_000_000)
+        assert machine.device._on_clock is False
+        assert machine.clock.busy == 1
+        del ticks[:]
+        for _hit in range(5):
+            mem.read_u64(64)                 # L1 hits
+        machine.clock.advance(1_000_000)
+        assert len(ticks) == 6
+        assert replica.replicated_epoch == 1
 
 
 class TestDeviceCrashRecovery:

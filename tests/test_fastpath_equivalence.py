@@ -289,6 +289,59 @@ def _two_core_fingerprint(shape, seed):
     return fingerprint(types.SimpleNamespace(machine=machine))
 
 
+def _pipelined_fingerprint(seed):
+    """Random accesses around pipelined and blocking persists, some
+    started from an idle device, on a log slow enough that the crash
+    hits an epoch in flight. Returns the fingerprint and the pipeline
+    depth at the crash."""
+    rng = DeterministicRng(seed)
+    kwargs = _draw_machine_kwargs(rng)
+    config = _draw_pax_config(rng)
+    config.log_drain_bps = rng.choice((2e7, 1e8))
+    machine = PaxMachine(pool_size=1 << 20, log_size=128 * 1024,
+                         pax_config=config, **kwargs)
+    mem = machine.mem()
+
+    def accesses(count):
+        for _step in range(count):
+            addr = 64 * rng.randint(1, 48) + 8 * rng.randint(0, 7)
+            if rng.randint(0, 1):
+                mem.write_u64(addr, rng.randint(0, 1 << 40))
+            else:
+                mem.read_u64(addr)
+
+    accesses(150)
+    machine.persist_async()
+    accesses(80)
+    machine.persist_barrier()
+    accesses(150)
+    # An idle stretch drains the log: the next persists start from an
+    # idle device whose snoops bring it work.
+    machine.clock.advance(1_000_000)
+    machine.persist_async()
+    accesses(40)
+    machine.persist_async()
+    accesses(3)
+    depth = machine.device.pipeline.depth
+    machine.crash()
+    machine.restart()
+    accesses(100)
+    machine.clock.advance(1_000_000)
+    machine.persist()
+    accesses(20)
+    return fingerprint(types.SimpleNamespace(machine=machine)), depth
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pipelined_persist_fast_and_slow_paths_agree(monkeypatch, seed):
+    monkeypatch.setenv(SLOW_PATH_ENV, "0")
+    fast, depth = _pipelined_fingerprint(seed)
+    assert depth > 0, "the crash must hit an epoch in flight"
+    monkeypatch.setenv(SLOW_PATH_ENV, "1")
+    slow, _depth = _pipelined_fingerprint(seed)
+    assert diff(fast, slow) == []
+
+
 @pytest.mark.parametrize("shape", ("host", "pax"))
 @pytest.mark.parametrize("seed", range(3))
 def test_random_two_core_fast_and_slow_paths_agree(monkeypatch, shape, seed):

@@ -43,6 +43,22 @@ class TestHostMachine:
         dram_machine.crash()
         with pytest.raises(CrashedError):
             dram_machine.mem().read_u64(64)
+        with pytest.raises(CrashedError):
+            dram_machine.mem().write_u64(64, 1)
+
+    def test_accessor_held_across_crash_and_restart(self, pm_machine):
+        mem = pm_machine.mem()
+        mem.write_u64(64, 5)
+        pm_machine.hierarchy.writeback_line(HEAP_PHYS_BASE + 64)
+        pm_machine.crash()
+        with pytest.raises(CrashedError):
+            mem.read_u64(64)
+        with pytest.raises(CrashedError):
+            mem.write_u64(64, 6)
+        pm_machine.restart()
+        assert mem.read_u64(64) == 5            # through the new hierarchy
+        mem.write_u64(64, 7)
+        assert mem.read_u64(64) == 7
 
     def test_time_advances_with_accesses(self, dram_machine):
         before = dram_machine.now_ns
@@ -96,6 +112,20 @@ class TestPaxMachine:
         pax_machine.crash()
         pax_machine.restart()
         assert mem.read_u64(4096) == 1
+
+    def test_accessor_rejects_access_until_restart(self, pax_machine):
+        mem = pax_machine.mem()
+        mem.write_u64(4096, 1)
+        pax_machine.persist()
+        pax_machine.crash()
+        with pytest.raises(CrashedError):
+            mem.read_u64(4096)
+        with pytest.raises(CrashedError):
+            mem.write_u64(4096, 2)
+        pax_machine.restart()
+        assert mem.read_u64(4096) == 1
+        mem.write_u64(4096, 3)
+        assert mem.read_u64(4096) == 3
 
     def test_restart_without_crash_rejected(self, pax_machine):
         with pytest.raises(CrashedError):

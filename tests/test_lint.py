@@ -205,6 +205,12 @@ def test_hot_path_counter_call_scoped_to_hot_methods_and_files():
     ("src/repro/cache/coherence.py", "drop"),
     ("src/repro/libpax/machine.py", "acquire"),
     ("src/repro/libpax/machine.py", "writeback"),
+    # The L1-hit chain above the hierarchy.
+    ("src/repro/mem/accessor.py", "read_u64"),
+    ("src/repro/mem/accessor.py", "write_u64"),
+    ("src/repro/libpax/machine.py", "read"),
+    ("src/repro/libpax/machine.py", "write"),
+    ("src/repro/util/stats.py", "record"),
 ])
 def test_hot_path_map_covers_the_miss_side_seams(path, method):
     source = (

@@ -52,6 +52,47 @@ class TestSimClock:
         clock.advance(1)
         assert seen == [1]
 
+    def test_registered_callbacks_count_as_busy(self):
+        clock = SimClock()
+        assert clock.busy == 0
+        clock.on_advance(lambda prev, now: None)
+        clock.on_advance(lambda prev, now: None)
+        assert clock.busy == 2
+
+    def test_idle_clock_runs_no_callbacks(self):
+        clock = SimClock()
+        seen = []
+        clock.on_advance(lambda prev, now: seen.append((prev, now)))
+        clock.busy -= 1                 # the callback went idle
+        clock.advance(10)
+        assert seen == []
+        assert clock.now_ns == 10
+        clock.busy += 1                 # work arrived
+        clock.advance(5)
+        assert seen == [(10, 15)]
+
+    def test_busy_clock_runs_idle_callbacks_too(self):
+        clock = SimClock()
+        seen = []
+        clock.on_advance(lambda prev, now: seen.append("idle"))
+        clock.on_advance(lambda prev, now: seen.append("busy"))
+        clock.busy -= 1                 # the first one went idle
+        clock.advance(1)
+        assert seen == ["idle", "busy"]
+
+    def test_removal_uncounts_the_callback(self):
+        clock = SimClock()
+        first = lambda prev, now: None
+        second = lambda prev, now: None
+        clock.on_advance(first)
+        clock.on_advance(second)
+        clock.remove_callback(first)
+        assert clock.busy == 1
+        clock.remove_callback(first)    # absent: no-op
+        assert clock.busy == 1
+        clock.remove_callback(second)
+        assert clock.busy == 0
+
     def test_reentrant_advance_inside_callback_does_not_recurse(self):
         clock = SimClock()
         calls = []

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import StatsError
+from repro.sim.rng import DeterministicRng
 from repro.util.stats import Counter, Histogram, StatGroup, ratio
 
 
@@ -86,6 +87,82 @@ class TestHistogram:
         # New sample must invalidate the cached sort.
         assert hist.percentile(100) == 100.0
         assert hist.percentile(0) == 10.0
+
+
+def _assert_identical(lazy, eager):
+    """Every accumulator and derived read, compared bit for bit."""
+    assert lazy.state() == eager.state()
+    assert (lazy.count, lazy.total, lazy.min, lazy.max) \
+        == (eager.count, eager.total, eager.min, eager.max)
+    assert lazy._sum_sq == eager._sum_sq
+    assert lazy._reservoir == eager._reservoir
+    assert (lazy.mean, lazy.stddev) == (eager.mean, eager.stddev)
+    for p in (0, 1, 50, 99, 99.9, 100):
+        assert lazy.percentile(p) == eager.percentile(p)
+
+
+class TestPendingRun:
+    """A bumped run folds in exactly as the same ``record`` calls would."""
+
+    RUN_VALUE = 1.2          # inexact in binary: order-sensitive sums
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_interleavings_match_eager_recording(self, seed):
+        rng = DeterministicRng(seed)
+        lazy = Histogram("lazy")
+        lazy.run_value = self.RUN_VALUE
+        eager = Histogram("eager")
+        wrapped = 0
+        for _step in range(400):
+            action = rng.randint(0, 99)
+            if action < 60:
+                # Mostly short runs; now and then one longer than the
+                # whole reservoir, or one that ends past its wrap.
+                burst = rng.choice((1, 3, 17, 250, 4000, 4096, 9000))
+                lazy.run += burst
+                for _sample in range(burst):
+                    eager.record(self.RUN_VALUE)
+            elif action < 85:
+                value = rng.choice((0.1, 3.7, 12.5, self.RUN_VALUE, 700.0))
+                lazy.record(value)
+                eager.record(value)
+            elif action < 99:
+                _assert_identical(lazy, eager)
+            else:
+                lazy.reset()
+                eager.reset()
+            wrapped = max(wrapped, eager.count // Histogram.RESERVOIR_SIZE)
+        _assert_identical(lazy, eager)
+        assert wrapped >= 2          # the ring was overwritten, twice
+
+    @pytest.mark.parametrize("pending", (1, 2, 3, 4095, 4096, 4097, 8193))
+    def test_run_into_an_empty_histogram(self, pending):
+        # Small sums show a one-ulp slip that long ones round away.
+        lazy = Histogram("lazy")
+        lazy.run_value = self.RUN_VALUE
+        lazy.run += pending
+        eager = Histogram("eager")
+        for _sample in range(pending):
+            eager.record(self.RUN_VALUE)
+        _assert_identical(lazy, eager)
+
+    def test_reset_drops_the_run_and_keeps_its_value(self):
+        hist = Histogram("h")
+        hist.run_value = 2.5
+        hist.run += 7
+        hist.reset()
+        assert (hist.count, hist.run, hist.run_value) == (0, 0, 2.5)
+        hist.run += 2
+        assert (hist.count, hist.total, hist.min, hist.max) \
+            == (2, 5.0, 2.5, 2.5)
+
+    def test_run_folds_before_a_later_sample(self):
+        hist = Histogram("h")
+        hist.run_value = 1.0
+        hist.run += Histogram.RESERVOIR_SIZE
+        hist.record(9.0)             # sample 4097: ring slot 1
+        assert hist._reservoir[1] == 9.0
+        assert hist._reservoir.count(1.0) == Histogram.RESERVOIR_SIZE - 1
 
 
 class TestStatGroup:
