@@ -27,31 +27,25 @@ bench:
 lint:
 	PYTHONPATH=src $(PYTHON) -m repro.staticcheck src/repro
 
-# Crash-consistency fuzzing (crash point x fault plan x structure); see
-# docs/faults.md. `fuzz` is the full seeded sweep, `fuzz-smoke` a fast
-# fixed-seed subset suitable for CI. SANITIZE=1 attaches PaxSan, the
-# dynamic persist-order checker, to every pool iteration. Both targets
-# then fuzz every per-op-durable WAL backend (the fuzzer's
-# BACKEND_TARGETS) under WalSan.
+# Crash-consistency fuzzing (crash point x fault plan x target); see
+# docs/faults.md. One process fuzzes every target in the fuzzer's
+# TARGETS: the PAX pool and every backend that declares a durability
+# contract. `fuzz` is the full seeded sweep, `fuzz-smoke` a fast
+# fixed-seed subset suitable for CI. SANITIZE=1 attaches each target's
+# sanitizer (PaxSan for the pool, pax and hybrid; WalSan for the WAL
+# backends; mprotect has none).
 SANITIZE ?= 0
 ifeq ($(SANITIZE),1)
 FUZZ_FLAGS = --sanitize
 else
 FUZZ_FLAGS =
 endif
-FUZZ_BACKENDS = pmdk redo compiler autopass
 
 fuzz:
 	PYTHONPATH=src $(PYTHON) -m repro.crashtest.fuzz --iterations 500 --seed 1234 $(FUZZ_FLAGS)
-	for target in $(FUZZ_BACKENDS); do \
-		PYTHONPATH=src $(PYTHON) -m repro.crashtest.fuzz --target $$target --sanitize --iterations 500 --seed 1234 --progress 0 || exit 1; \
-	done
 
 fuzz-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.crashtest.fuzz --iterations 50 --seed 7 --progress 0 $(FUZZ_FLAGS)
-	for target in $(FUZZ_BACKENDS); do \
-		PYTHONPATH=src $(PYTHON) -m repro.crashtest.fuzz --target $$target --sanitize --iterations 50 --seed 7 --progress 0 || exit 1; \
-	done
 
 # Wall-clock performance of the simulator itself (not simulated time);
 # see docs/performance.md. `perfbench` regenerates the committed

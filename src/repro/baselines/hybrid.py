@@ -70,6 +70,9 @@ class HybridAccessor(MemoryAccessor):
         self._table = PageTable(0, machine.heap_size)
         self._table.protect_all(PagePermission.READ)
         self.stats = StatGroup("hybrid_accessor")
+        # Per-chunk counters bound once (hot-path-stat-lookup rule).
+        self._c_vpm_reads = self.stats.counter("vpm_reads")
+        self._c_direct_reads = self.stats.counter("direct_reads")
 
     # -- page routing ---------------------------------------------------------
 
@@ -103,14 +106,14 @@ class HybridAccessor(MemoryAccessor):
             self._machine.check_alive()
         out = bytearray()
         for page, offset, chunk in split_pages(addr, length):
-            base = (HEAP_PHYS_BASE if self._is_vpm(page)
-                    else self._direct_base)
+            if self._is_vpm(page):
+                base = HEAP_PHYS_BASE
+                self._c_vpm_reads.value += 1
+            else:
+                base = self._direct_base
+                self._c_direct_reads.value += 1
             out += self._machine.hierarchy.load(self._core,
                                                 base + page + offset, chunk)
-            if self._is_vpm(page):
-                self.stats.counter("vpm_reads").add(1)
-            else:
-                self.stats.counter("direct_reads").add(1)
         return bytes(out)
 
     def write(self, addr, data):

@@ -184,30 +184,6 @@ class PaxDevice:
             self._c_stalled_evicts.value += 1
         return msg.Go(message.addr), service
 
-    def persist_mem(self, clock=None):
-        """CXL.mem persist: the host has already CLWB'd its dirty lines
-        (no device-to-host snoops exist to pull them); drain and commit.
-        """
-        total_ns = 0.0
-
-        def charge(step_ns):
-            nonlocal total_ns
-            total_ns += step_ns
-            if clock is not None:
-                clock.advance(step_ns)
-
-        charge(self.pipeline.complete_all())
-        touched = self.undo.touched_lines()
-        pumped_bytes, lines_written = self.writeback.flush_all()
-        charge(pumped_bytes * 1e9 / self.config.log_drain_bps)
-        charge(lines_written * self._lat.media.pm_write_ns)
-        self.epochs.commit(len(touched))
-        self.undo.begin_epoch(self.epochs.current_epoch)
-        charge(self._lat.media.pm_write_ns)
-        self.stats.counter("persists").add(1)
-        self.stats.histogram("persist_ns").record(total_ns)
-        return total_ns
-
     def _lookup_line(self, pool_addr):
         """Newest device-visible value: buffer > HBM > mech > PM.
 
@@ -333,8 +309,10 @@ class PaxDevice:
         """Commit a crash-consistent snapshot; returns host-blocking ns.
 
         ``snoop_port`` is a :class:`~repro.cxl.port.HostSnoopPort` bound to
-        the host hierarchy. The application must guarantee no thread is
-        mutating the structure during the call (paper §3.5).
+        the host hierarchy, or None under CXL.mem, where no device-to-host
+        snoop exists and the host has already CLWB'd its dirty lines. The
+        application must guarantee no thread is mutating the structure
+        during the call (paper §3.5).
 
         When ``clock`` is given, time is charged *as the steps happen* —
         the snoops are sequential round trips, so link backlog drains
@@ -354,17 +332,20 @@ class PaxDevice:
         charge(self.pipeline.complete_all())
         touched = self.undo.touched_lines()
         # 1. Pull every possibly-modified line out of host caches.
-        for pool_addr in touched:
-            fresh, link_ns = snoop_port.snoop_shared(self.to_phys(pool_addr))
-            charge(link_ns)
-            if fresh is not None:
-                seq = self._seq_for(pool_addr)
-                self.writeback.buffer_line(pool_addr, fresh, seq)
-                if self._on_clock is False:
-                    # wake(), inline: between two snoops the device can
-                    # drain the line and go idle again, once per line.
-                    self._on_clock = True
-                    self._clock.busy += 1
+        if snoop_port is not None:
+            for pool_addr in touched:
+                fresh, link_ns = snoop_port.snoop_shared(
+                    self.to_phys(pool_addr))
+                charge(link_ns)
+                if fresh is not None:
+                    seq = self._seq_for(pool_addr)
+                    self.writeback.buffer_line(pool_addr, fresh, seq)
+                    if self._on_clock is False:
+                        # wake(), inline: between two snoops the device
+                        # can drain the line and go idle again, once per
+                        # line.
+                        self._on_clock = True
+                        self._clock.busy += 1
         # 2+3. Make every undo record durable, then write all buffered
         # lines to PM (flush_all enforces that order internally).
         pumped_bytes, lines_written = self.writeback.flush_all()

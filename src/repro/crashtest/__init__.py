@@ -9,8 +9,7 @@ from repro.crashtest.injector import CrashInjector, CrashSignal, count_stores
 
 #: Fuzzer exports resolve lazily (PEP 562) so ``python -m
 #: repro.crashtest.fuzz`` does not import the module twice.
-_FUZZ_EXPORTS = ("FuzzFailure", "FuzzStats", "run_backend_iteration",
-                 "run_fuzz", "run_iteration")
+_FUZZ_EXPORTS = ("FuzzFailure", "FuzzStats", "run_fuzz", "run_iteration")
 
 
 def __getattr__(name):
@@ -30,7 +29,6 @@ __all__ = [
     "SnapshotTracker",
     "check_prefix_atomic",
     "count_stores",
-    "run_backend_iteration",
     "run_fuzz",
     "run_iteration",
     "verify_map_integrity",

@@ -284,7 +284,7 @@ class PaxMachine(_BaseMachine):
             self.clock.advance(self.latency.software.clwb_ns)
             self.hierarchy.writeback_line(line)    # charges MemWr + link
         self.clock.advance(self.latency.software.sfence_ns)
-        self.device.persist_mem(clock=self.clock)
+        self.device.persist(None, clock=self.clock)
         return self.clock.now_ns - start
 
     def persist_async(self):

@@ -15,8 +15,9 @@ Quick start::
     ... workload ...            # raises SanitizerError on a violation
     assert san.ok
 
-The crash fuzzer runs with PaxSan attached under ``--sanitize``
-(``make fuzz SANITIZE=1``).
+The crash fuzzer attaches each target's sanitizer under ``--sanitize``
+(``make fuzz SANITIZE=1``): PaxSan for the PAX pool and the pax and
+hybrid backends, WalSan for the WAL backends. mprotect has none.
 """
 
 from repro.errors import SanitizerError

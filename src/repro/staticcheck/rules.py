@@ -91,6 +91,7 @@ _HOT_PATH_METHODS = {
     "structures/hashmap.py": frozenset({
         "put", "get", "remove", "_bucket_addr"}),
     "baselines/base.py": frozenset({"put", "get", "remove"}),
+    "baselines/hybrid.py": frozenset({"read", "write"}),
     # WAL appends and resets run once per transaction of the pmdk, redo,
     # autopass and compiler backends.
     "baselines/wal.py": frozenset({"append", "reset"}),

@@ -66,11 +66,6 @@ DEFAULTS = {
 #: Backends that carry a PAX device (eligible for device_mechanisms).
 PAX_BACKENDS = ("pax", "hybrid")
 
-#: Every short name the baseline factory accepts (mirrors
-#: repro.baselines.make_backend, which keeps its table function-local).
-KNOWN_BACKENDS = ("dram", "pm_direct", "pmdk", "redo", "compiler",
-                  "autopass", "mprotect", "pax", "hybrid")
-
 
 def _parse_scalar(text, where):
     """Parse one TOML scalar: string, bool, integer, or float."""
@@ -248,14 +243,16 @@ def load_spec(path):
     spec["llc_sizes_kib"] = _as_int_list(spec["llc_sizes_kib"],
                                          "llc_sizes_kib")
 
+    from repro.baselines.pax import backend_classes
     from repro.cache.mechanisms import make_mechanisms
     from repro.cache.replacement import make_policy
     from repro.perfbench import WORKLOADS as KNOWN_WORKLOADS
+    known_backends = backend_classes()
     for backend in spec["backends"]:
-        if backend not in KNOWN_BACKENDS:
+        if backend not in known_backends:
             raise ConfigError("%s: unknown backend %r (have %s)"
                               % (path, backend,
-                                 ", ".join(sorted(KNOWN_BACKENDS))))
+                                 ", ".join(sorted(known_backends))))
     for workload in spec["workloads"]:
         if workload not in KNOWN_WORKLOADS:
             raise ConfigError("%s: unknown workload %r (have %s)"

@@ -4,8 +4,6 @@ Each backend class declares its contract once (``durability``); the
 parametrizations below are derived from those declarations.
 """
 
-import os
-
 import pytest
 
 from repro.baselines import make_backend
@@ -41,17 +39,6 @@ def test_every_backend_declares_its_contract():
         "mprotect": "per-persist", "pax": "per-persist",
         "hybrid": "per-persist",
     }
-
-
-def test_fuzz_targets_cover_every_per_op_backend():
-    # `make fuzz`/`make fuzz-smoke` loop over the Makefile's
-    # FUZZ_BACKENDS; it must name exactly the fuzzer's derived targets.
-    from repro.crashtest.fuzz import BACKEND_TARGETS
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    with open(os.path.join(root, "Makefile")) as handle:
-        line = next(text for text in handle
-                    if text.startswith("FUZZ_BACKENDS ="))
-    assert line.split("=", 1)[1].split() == list(BACKEND_TARGETS)
 
 
 #: Simulated clock right after restart(), and restart()'s count of WAL

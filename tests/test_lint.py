@@ -211,6 +211,9 @@ def test_hot_path_counter_call_scoped_to_hot_methods_and_files():
     ("src/repro/libpax/machine.py", "read"),
     ("src/repro/libpax/machine.py", "write"),
     ("src/repro/util/stats.py", "record"),
+    # The paging + PAX hybrid's per-page routing.
+    ("src/repro/baselines/hybrid.py", "read"),
+    ("src/repro/baselines/hybrid.py", "write"),
 ])
 def test_hot_path_map_covers_the_miss_side_seams(path, method):
     source = (

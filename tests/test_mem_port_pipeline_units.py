@@ -61,7 +61,7 @@ class TestMemDevicePort:
     def test_persist_mem_commits(self):
         port, device, pool = build()
         port.write_line(VPM_BASE, b"\x77" * 64)
-        device.persist_mem()
+        device.persist(None)
         assert pool.committed_epoch == 1
         assert pool.device.read(pool.data_base, 1) == b"\x77"
 

@@ -2,14 +2,16 @@
 
 Covers the tail taxonomy of the undo-log scan (clean / torn / corrupt /
 disorder), dual-slot epoch-commit tearing, typed RecoveryError + report
-on unrecoverable damage, and a seeded fuzz smoke run.
+on unrecoverable damage, and the crash fuzzer over every target.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.baselines.pax import backend_classes
 from repro.core.recovery import recover_pool
-from repro.crashtest.fuzz import run_fuzz
+from repro.crashtest import fuzz
+from repro.crashtest.fuzz import TARGETS, run_fuzz, run_iteration
 from repro.errors import PoolError, RecoveryError
 from repro.faults import BitFlipSpec, FaultInjector, FaultPlan, FaultyPmDevice
 from repro.pm.log import (
@@ -218,6 +220,35 @@ class TestRecoveryRaisesOnCorruption:
         assert recovered.to_dict() == snapshot
 
 
+def _skip_pax_rollback(monkeypatch):
+    """recover_pool runs, then its rolled-back lines get their
+    pre-recovery bytes back."""
+    import repro.libpax.machine as machine_mod
+    real = machine_mod.recover_pool
+
+    def recover_without_rollback(pool, **kwargs):
+        before = pool.device.read(pool.data_base, pool.data_size)
+        report = real(pool, **kwargs)
+        for addr in report.lines_restored:
+            offset = addr - pool.data_base
+            pool.device.write(addr, before[offset:offset + LINE])
+        return report
+
+    monkeypatch.setattr(machine_mod, "recover_pool",
+                        recover_without_rollback)
+
+
+def _skip_mprotect_rollback(monkeypatch):
+    """mprotect's recovery finds no page pre-image to roll back."""
+    from repro.baselines.mprotect import PageLog
+    monkeypatch.setattr(PageLog, "scan", lambda self: iter(()))
+
+
+#: One no-op-rollback mutant per snapshot-recovery family.
+ROLLBACK_MUTANTS = {"pax": _skip_pax_rollback,
+                    "mprotect": _skip_mprotect_rollback}
+
+
 class TestFuzzSmoke:
     def test_fifty_seeded_iterations_hold_the_contract(self):
         stats = run_fuzz(iterations=50, seed=20260806, progress=None)
@@ -228,3 +259,74 @@ class TestFuzzSmoke:
         assert stats.plans_flipped > 0
         assert stats.plans_lossy > 0
         assert stats.outcomes["exact"] > 0
+
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_every_target_holds_its_contract(self, target):
+        stats = run_fuzz(iterations=10, seed=20260806, progress=None,
+                         target=target)
+        assert stats.iterations == 10
+        assert stats.ok, stats.summary()
+
+    @pytest.mark.parametrize("target", sorted(ROLLBACK_MUTANTS))
+    def test_a_recovery_that_skips_its_rollback_fails(self, target,
+                                                      monkeypatch):
+        # The fuzzer's caches are small enough that uncommitted lines
+        # reach PM before the crash, so leaving them there must show.
+        ROLLBACK_MUTANTS[target](monkeypatch)
+        stats = run_fuzz(iterations=20, seed=7, progress=None, target=target)
+        assert not stats.ok
+
+
+class TestFuzzTargets:
+    def test_targets_are_the_pool_and_every_crash_consistent_backend(self):
+        declared = tuple(name for name, cls in backend_classes().items()
+                         if cls.durability != "none")
+        assert TARGETS == ("pool",) + declared
+        assert TARGETS == ("pool", "pmdk", "redo", "compiler", "autopass",
+                           "mprotect", "pax", "hybrid")
+
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_an_iteration_replays_from_its_seed(self, target):
+        from repro.obs import ObsTracer
+        runs = []
+        for _ in range(2):
+            tracer = ObsTracer()
+            outcome = run_iteration(20260806, target=target, tracer=tracer)
+            runs.append((outcome, tracer.events()))
+        assert runs[0] == runs[1]
+
+    def test_cli_fuzzes_every_target_in_order(self, capsys):
+        assert fuzz.main(["--iterations", "2", "--seed", "7",
+                          "--progress", "0"]) == 0
+        out = capsys.readouterr().out
+        assert [line.split()[1] for line in out.splitlines()
+                if line.startswith("fuzz ")] \
+            == ["%s:" % target for target in TARGETS]
+
+    def test_cli_exits_1_when_one_target_fails(self, capsys, monkeypatch):
+        real = fuzz.run_iteration
+
+        def failing_pax(seed, target="pool", **kwargs):
+            if target == "pax":
+                raise fuzz.FuzzFailure("planted")
+            return real(seed, target=target, **kwargs)
+
+        monkeypatch.setattr(fuzz, "run_iteration", failing_pax)
+        assert fuzz.main(["--iterations", "1", "--seed", "7",
+                          "--progress", "0"]) == 1
+        out = capsys.readouterr().out
+        assert "fuzz pax: 1 iterations — 0 exact, 0 detected, " \
+               "0 link-exhausted, 1 FAILED" in out
+        assert "fuzz hybrid: 1 iterations — 1 exact" in out
+
+    def test_cli_traces_backend_targets(self, tmp_path, capsys):
+        from repro.obs.export import read_jsonl
+        path = str(tmp_path / "fuzz.jsonl")
+        assert fuzz.main(["--target", "pmdk", "--target", "hybrid",
+                          "--iterations", "2", "--seed", "7",
+                          "--progress", "0", "--trace", path]) == 0
+        events = read_jsonl(path)
+        marks = [event["args"]["target"] for event in events
+                 if event["name"] == "fuzz-iteration"]
+        assert marks == ["pmdk", "pmdk", "hybrid", "hybrid"]
+        assert {"store", "tx"} <= {event["cat"] for event in events}

@@ -71,6 +71,18 @@ class TestSpecLoading:
         with pytest.raises(ConfigError):
             load_spec(path)
 
+    def test_backends_validate_against_the_registry(self, tmp_path,
+                                                    monkeypatch):
+        import repro.baselines.pax as registry
+        real = registry.backend_classes
+        monkeypatch.setattr(registry, "backend_classes",
+                            lambda: dict(real(), warp=object))
+        spec = load_spec(write_spec(tmp_path, tiny_body(backends=["warp"])))
+        assert spec["backends"] == ["warp"]
+        with pytest.raises(ConfigError, match=r"unknown backend 'wrap' "
+                           r"\(have autopass, compiler, .*, warp\)"):
+            load_spec(write_spec(tmp_path, tiny_body(backends=["wrap"])))
+
     def test_needs_sweep_table(self, tmp_path):
         path = tmp_path / "flat.json"
         path.write_text(json.dumps({"ops": 4}))
