@@ -4,7 +4,7 @@ PYTHON ?= python
 
 .PHONY: install test bench examples quicktest lint \
 	fuzz fuzz-smoke perfbench \
-	perfbench-compare replay-smoke obs-smoke obs-overhead chaos-smoke \
+	perfbench-compare obs-smoke obs-overhead chaos-smoke \
 	sweep sweep-smoke clean
 
 install:
@@ -57,15 +57,6 @@ perfbench:
 
 perfbench-compare:
 	PYTHONPATH=src $(PYTHON) -m repro.perfbench --out /tmp/perfbench-current.json --compare BENCH_PR3.json
-
-# Trace record/replay smoke (docs/performance.md, "Trace replay"):
-# record a fixed-seed perfbench cell, replay it, and fail unless the
-# replay ends at the sim_ns the recording did.
-replay-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.replay record --workload store_heavy \
-		--backend pax --ops 4000 --records 800 --seed 7 --out /tmp/replay-smoke.trace
-	PYTHONPATH=src $(PYTHON) -m repro.replay info /tmp/replay-smoke.trace
-	PYTHONPATH=src $(PYTHON) -m repro.replay verify /tmp/replay-smoke.trace
 
 # Observability (docs/observability.md): `obs-smoke` traces a fixed-seed
 # perfbench microworkload, summarizes it, and schema-checks the Chrome

@@ -102,7 +102,16 @@ def _small_caches():
 
 
 class FuzzFailure(ReproError):
-    """One iteration violated the crash-consistency contract."""
+    """One iteration violated the crash-consistency contract.
+
+    ``crashed_in_flight`` says whether the iteration's crash cut an
+    operation mid-flight. The crash point does not depend on recovery,
+    so a failing iteration still counts its crash.
+    """
+
+    def __init__(self, message, crashed_in_flight=False):
+        super().__init__(message)
+        self.crashed_in_flight = crashed_in_flight
 
 
 class FuzzStats:
@@ -312,13 +321,13 @@ def run_iteration(seed, target="pool", allow_link=True, sanitize=False,
     except RecoveryError as exc:
         if exc.report is None:
             raise FuzzFailure(
-                "RecoveryError without a RecoveryReport: %s" % exc)
+                "RecoveryError without a RecoveryReport: %s" % exc, crashed)
         return "detected", crashed
     except ReproError as exc:
-        raise FuzzFailure("post-recovery check failed: %s" % exc)
+        raise FuzzFailure("post-recovery check failed: %s" % exc, crashed)
     except Exception as exc:   # struct.error etc. — the bugs fuzzing hunts
         raise FuzzFailure("unhandled %s escaped recovery: %s"
-                          % (type(exc).__name__, exc))
+                          % (type(exc).__name__, exc), crashed)
     return "exact", crashed
 
 
@@ -350,6 +359,7 @@ def run_fuzz(iterations=500, seed=1234, allow_link=True, progress=None,
             stats.crashed_in_flight += in_flight
         except FuzzFailure as exc:
             stats.failures.append((iteration, iter_seed, plan, str(exc)))
+            stats.crashed_in_flight += exc.crashed_in_flight
         stats.iterations += 1
         if progress and (iteration + 1) % progress == 0:
             print("  ... %s %d/%d (%d exact, %d detected, %d failed)"

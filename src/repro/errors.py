@@ -167,12 +167,6 @@ class TraceError(ReproError):
     """Base class for trace record/replay failures (repro.replay)."""
 
 
-class TraceFormatError(TraceError):
-    """A trace file is unreadable: bad magic, unsupported version,
-    truncated columns, or a CRC mismatch. Raised on load, never on
-    replay — a trace that decodes is replayable by construction."""
-
-
 class TraceUnsupportedError(TraceError):
     """The workload did something recording cannot capture faithfully
     (crash/restart, pipelined persists, store hooks). Callers should

@@ -162,25 +162,19 @@ def _drive(backend, workload, ops, records, seed):
 _TRACE_CACHE = {}
 
 
-def record_cell_trace(workload, backend_name, ops, records, seed,
-                      mechanisms=None, mech_policy="lru"):
+def record_cell_trace(workload, backend_name, ops, records, seed):
     """Record (or fetch the cached) trace for one cell configuration.
 
     The machine-seam event stream depends on structure logic and data
     values, **not** on cache geometry or miss-path mechanisms — which is
     what lets :mod:`repro.sweep` record once at the default configuration
-    and replay the same trace across a whole cache-config grid. The
-    mechanism knobs are still part of the cache key because perfbench's
-    own replay engine asserts sim_ns equality against the recording,
-    which only holds when record and replay configs match.
+    and replay the same trace across a whole cache-config grid.
     """
-    key = (workload, backend_name, ops, records, seed,
-           mechanisms or "none", mech_policy)
+    key = (workload, backend_name, ops, records, seed)
     cached = _TRACE_CACHE.get(key)
     if cached is not None:
         return cached
-    backend = build_backend(backend_name, mechanisms=mechanisms,
-                            mech_policy=mech_policy)
+    backend = build_backend(backend_name)
     timed_sim = []
 
     def drive(live, recorder):
@@ -200,9 +194,8 @@ def record_cell_trace(workload, backend_name, ops, records, seed,
     return cached
 
 
-def _drive_replay(workload, backend_name, ops, records, seed,
-                  mechanisms=None, mech_policy="lru"):
-    """Replay one cell's recorded trace; returns (wall_s, sim_ns).
+def _drive_replay(workload, backend_name, ops, records, seed):
+    """Replay one cell's recorded trace; returns (wall_s, sim_ns, backend).
 
     The trace is recorded (and cached) through the per-access path, so
     the replayed simulation is that path's event stream re-executed; the
@@ -210,10 +203,8 @@ def _drive_replay(workload, backend_name, ops, records, seed,
     every replay cell is a free equivalence check on the clock.
     """
     trace, expected_sim = record_cell_trace(
-        workload, backend_name, ops, records, seed,
-        mechanisms=mechanisms, mech_policy=mech_policy)
-    backend = build_backend(backend_name, mechanisms=mechanisms,
-                            mech_policy=mech_policy)
+        workload, backend_name, ops, records, seed)
+    backend = build_backend(backend_name)
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -246,7 +237,7 @@ def attach_tracer(backend, tracer):
 
 
 def _run_cell(workload, backend_name, ops, records, seed, repeats, tracer,
-              engine="access", mechanisms=None, mech_policy="lru"):
+              engine="access"):
     """Measure one cell; returns ``(result dict, last backend)``."""
     if repeats < 1:
         raise ConfigError("repeats must be >= 1")
@@ -262,11 +253,9 @@ def _run_cell(workload, backend_name, ops, records, seed, repeats, tracer,
     for _attempt in range(repeats):
         if engine == "replay":
             wall_s, cell_sim_ns, backend = _drive_replay(
-                workload, backend_name, ops, records, seed,
-                mechanisms=mechanisms, mech_policy=mech_policy)
+                workload, backend_name, ops, records, seed)
         else:
-            backend = build_backend(backend_name, mechanisms=mechanisms,
-                                    mech_policy=mech_policy)
+            backend = build_backend(backend_name)
             if tracer is not None:
                 attach_tracer(backend, tracer)
             wall_s, cell_sim_ns = _drive(backend, workload, ops, records,
@@ -288,9 +277,6 @@ def _run_cell(workload, backend_name, ops, records, seed, repeats, tracer,
         "ops_per_sec": round(ops / best_wall, 1) if best_wall > 0 else 0.0,
         "sim_ns": sim_ns,
     }
-    if mechanisms not in (None, "", "none"):
-        cell["mechanisms"] = mechanisms
-        cell["mech_policy"] = mech_policy
     for counter in CELL_COUNTERS:
         value = getattr(backend, counter, None)
         # bool is an int subclass; exclude it so a stray flag attribute
@@ -301,8 +287,7 @@ def _run_cell(workload, backend_name, ops, records, seed, repeats, tracer,
 
 
 def run_cell(workload, backend_name, ops=DEFAULT_OPS, records=DEFAULT_RECORDS,
-             seed=DEFAULT_SEED, repeats=1, tracer=None, engine="access",
-             mechanisms=None, mech_policy="lru"):
+             seed=DEFAULT_SEED, repeats=1, tracer=None, engine="access"):
     """Measure one workload x backend cell; returns a result dict.
 
     With ``repeats`` > 1 the cell is rebuilt and rerun that many times and
@@ -320,22 +305,16 @@ def run_cell(workload, backend_name, ops=DEFAULT_OPS, records=DEFAULT_RECORDS,
     Replay cells record the per-access event stream once, then measure
     the trace interpreter; their ``sim_ns`` is checked against the
     recording, so the two engines are directly comparable.
-
-    ``mechanisms``/``mech_policy`` select a miss-path mechanism stack
-    for the host hierarchy (:mod:`repro.cache.mechanisms`); the default
-    (no mechanisms) is the historical configuration.
     """
     cell, _backend = _run_cell(workload, backend_name, ops, records, seed,
-                               repeats, tracer, engine,
-                               mechanisms=mechanisms,
-                               mech_policy=mech_policy)
+                               repeats, tracer, engine)
     return cell
 
 
 def run_matrix(workloads=WORKLOADS, backends=BACKENDS, ops=DEFAULT_OPS,
                records=DEFAULT_RECORDS, seed=DEFAULT_SEED, repeats=1,
                progress=None, tracer_factory=None, cell_hook=None,
-               engines=("access",), mechanisms=None, mech_policy="lru"):
+               engines=("access",)):
     """Run the full matrix; returns the report dict (see :data:`SCHEMA`).
 
     ``tracer_factory()`` (optional) builds a fresh tracer per cell;
@@ -344,10 +323,8 @@ def run_matrix(workloads=WORKLOADS, backends=BACKENDS, ops=DEFAULT_OPS,
     trace events and metrics without the report format changing.
 
     ``engines`` extends the matrix with a third axis; the default stays
-    access-only so existing baselines keep their shape. ``mechanisms``
-    (one spec for the whole matrix) applies a host miss-path mechanism
-    stack to every cell; grids over many specs belong to
-    :mod:`repro.sweep`.
+    access-only so existing baselines keep their shape. Grids over cache
+    geometry and miss-path mechanisms belong to :mod:`repro.sweep`.
     """
     results = []
     for engine in engines:
@@ -357,8 +334,7 @@ def run_matrix(workloads=WORKLOADS, backends=BACKENDS, ops=DEFAULT_OPS,
                           and engine == "access" else None)
                 cell, backend = _run_cell(workload, backend_name, ops,
                                           records, seed, repeats, tracer,
-                                          engine, mechanisms=mechanisms,
-                                          mech_policy=mech_policy)
+                                          engine)
                 results.append(cell)
                 if progress is not None:
                     progress(cell)
@@ -374,7 +350,6 @@ def run_matrix(workloads=WORKLOADS, backends=BACKENDS, ops=DEFAULT_OPS,
             "workloads": list(workloads),
             "backends": list(backends),
             "engines": list(engines),
-            "mechanisms": mechanisms or "none",
         },
         "results": results,
     }
@@ -400,9 +375,10 @@ def load_report(path):
 def _cell_key(cell):
     """Identity of a cell across reports. Baselines written before the
     engine axis existed (``BENCH_PR3.json``) carry no ``engine`` field;
-    those cells are access cells by construction. Likewise cells from
-    before the mechanism zoo carry no ``mechanisms`` field and are
-    no-mechanism cells."""
+    those cells are access cells by construction. Perfbench cells carry
+    no ``mechanisms`` field; the sweep's perfbench view
+    (:func:`repro.sweep.report.perfbench_view`) writes its variant id
+    there."""
     return (cell["workload"], cell["backend"], cell.get("engine", "access"),
             cell.get("mechanisms", "none"))
 

@@ -10,7 +10,8 @@ Examples::
 
 ``--compare`` prints a human verdict and also writes the full per-cell
 comparison (wall-clock deltas, throughput ratios, sim_ns checks) as JSON
-next to the report, for dashboards and CI artifacts.
+next to the report (``<out>`` with a ``.compare.json`` suffix), for
+dashboards and CI artifacts.
 
 Exit status: 0 on success, 1 on a comparison failure — wired for CI.
 """
@@ -45,22 +46,11 @@ def main(argv=None):
     parser.add_argument("--engine", default="access",
                         help="comma-separated engine list: access, replay "
                              "(default %(default)s)")
-    parser.add_argument("--mechanisms", default=None,
-                        help="miss-path mechanism spec applied to every "
-                             "cell's host hierarchy, e.g. victim:32 or "
-                             "stream:4x4+nextline:16 (default: none)")
-    parser.add_argument("--mech-policy", default="lru",
-                        help="replacement policy inside mechanisms that "
-                             "have one (default %(default)s)")
     parser.add_argument("--out", default="BENCH_PR3.json",
                         help="report path (default %(default)s)")
     parser.add_argument("--compare", metavar="BASELINE",
                         help="grade this run against a baseline report; "
                              "exit 1 on regression")
-    parser.add_argument("--compare-out", metavar="PATH", default=None,
-                        help="where to write the machine-readable per-cell "
-                             "comparison JSON (default: <out> with a "
-                             ".compare.json suffix)")
     parser.add_argument("--tolerance", type=float, default=0.30,
                         help="allowed fractional wall-clock drop vs the "
                              "baseline (default %(default)s)")
@@ -109,9 +99,7 @@ def main(argv=None):
                             progress=progress,
                             tracer_factory=tracer_factory,
                             cell_hook=cell_hook,
-                            engines=args.engine.split(","),
-                            mechanisms=args.mechanisms,
-                            mech_policy=args.mech_policy)
+                            engines=args.engine.split(","))
     finally:
         if trace_handle is not None:
             trace_handle.close()
@@ -127,12 +115,10 @@ def main(argv=None):
     if args.compare:
         grade = compare_report(report, load_report(args.compare),
                                tolerance=args.tolerance)
-        compare_out = args.compare_out
-        if compare_out is None:
-            base = args.out
-            if base.endswith(".json"):
-                base = base[:-len(".json")]
-            compare_out = base + ".compare.json"
+        compare_out = args.out
+        if compare_out.endswith(".json"):
+            compare_out = compare_out[:-len(".json")]
+        compare_out += ".compare.json"
         with open(compare_out, "w") as handle:
             json.dump(grade, handle, indent=2, sort_keys=True)
             handle.write("\n")

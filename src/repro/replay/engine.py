@@ -1,18 +1,19 @@
 """Trace replay: re-execute a recorded event stream through the real seams.
 
-:func:`replay_trace` dispatches every event to the same seam methods the
-recorder wrapped (``hierarchy.load``, ``space.write``, ``wal.append``,
-...). Everything below the seams — caches, link, device, media —
-re-simulates, so replay is exact for any backend the recorder accepts;
-it skips only the structure layer (hash probing, key encoding), which is
-what a trace makes redundant. The per-access path stays the executable
-spec (docs/performance.md).
+:func:`replay_trace` calls every event's seam on a fresh backend with the
+argument tuple the recorder logged (``hierarchy.load``, ``space.write``,
+``wal.append``, ...). Everything below the seams — caches, link, device,
+media — re-simulates, so replay is exact for any backend the recorder
+accepts; it skips only the structure layer (hash probing, key encoding),
+which is what a trace makes redundant. The per-access path stays the
+executable spec (docs/performance.md).
 """
 
+from functools import partial
+
 from repro.errors import TraceError
-from repro.replay import format as fmt
 from repro.replay.equivalence import structure_stat_groups
-from repro.replay.recorder import _resolve
+from repro.replay.recorder import MARK_TIMED, SEAMS, _resolve
 
 
 class ReplayResult:
@@ -32,59 +33,35 @@ class ReplayResult:
     @property
     def sim_ns_timed(self):
         """Simulated ns consumed after the timed-phase mark."""
-        start = self.marks.get(fmt.MARK_TIMED)
+        start = self.marks.get(MARK_TIMED)
         if start is None:
             return self.sim_ns
         return self.sim_ns - start
 
 
-def _seam(owner, name, kind):
-    """``owner.name`` bound, or a stub failing typed on a ``kind`` event.
+def _no_seam(seam, *_args):
+    """Stands in for a seam the backend lacks.
 
     A trace holding events its backend has no seam for (a WAL append
     replayed onto a machine without a WAL) then fails on the first such
     event with a :class:`TraceError` naming it.
     """
-    method = getattr(owner, name, None)
-    if method is not None:
-        return method
-
-    def missing(*_args):
-        raise TraceError("trace holds a %s event, but the backend has no "
-                         "seam for it" % fmt.KIND_NAMES[kind])
-    return missing
+    raise TraceError("trace holds a %s event, but the backend has no "
+                     "seam for it" % seam)
 
 
-def _handlers(backend):
-    """Kind -> ``handler(aux, addr, size, payload)`` for every kind but
-    MARK, each re-issuing its event through a seam of ``backend``."""
-    machine = backend.machine
-    hier = machine.hierarchy
-    load, store, wbl = hier.load, hier.store, hier.writeback_line
-    persist = _seam(machine, "persist", fmt.PERSIST)
-    space = getattr(machine, "space", None)
-    space_read = _seam(space, "read", fmt.RAW_READ)
-    space_write = _seam(space, "write", fmt.RAW_WRITE)
-    flush = getattr(backend, "_flush", None)
-    clwb = _seam(flush, "clwb", fmt.CLWB)
-    sfence = _seam(flush, "sfence", fmt.SFENCE)
-    wal = getattr(backend, "_wal", None)
-    wal_append = _seam(wal, "append", fmt.WAL_APPEND)
-    wal_reset = _seam(wal, "reset", fmt.WAL_RESET)
-    # x, a, n, p: the event's aux, addr, size and payload columns.
-    return {
-        fmt.LOAD: lambda x, a, n, p: load(x, a, n),
-        fmt.STORE: lambda x, a, n, p: store(x, a, p),
-        fmt.RAW_READ: lambda x, a, n, p: space_read(a, n),
-        fmt.RAW_WRITE: lambda x, a, n, p: space_write(a, p),
-        fmt.CLWB: lambda x, a, n, p: clwb(a, n),
-        fmt.SFENCE: lambda x, a, n, p: sfence(),
-        fmt.WBL: lambda x, a, n, p: wbl(a),
-        fmt.PERSIST: lambda x, a, n, p: persist(),
-        fmt.WAL_APPEND: lambda x, a, n, p: wal_append(x >> 1, a, p,
-                                                      bool(x & 1)),
-        fmt.WAL_RESET: lambda x, a, n, p: wal_reset(),
-    }
+def _seam_table(backend):
+    """Seam name -> ``backend``'s bound method for every :data:`SEAMS`
+    entry (:func:`_no_seam` where the backend lacks it)."""
+    table = {}
+    for seam, (path, _data_at) in SEAMS.items():
+        *owners, name = path.split(".")
+        owner = backend
+        for part in owners:
+            owner = getattr(owner, part, None)
+        method = getattr(owner, name, None)
+        table[seam] = partial(_no_seam, seam) if method is None else method
+    return table
 
 
 def replay_trace(trace, backend, stopwatch=None):
@@ -106,16 +83,27 @@ def replay_trace(trace, backend, stopwatch=None):
     if recorded != actual:
         raise TraceError("trace was recorded on backend %r; cannot replay "
                          "it onto %r" % (recorded, actual))
+    clock = backend.machine.clock
+    marks = {}
+    mark_walls = {}
+
+    def mark(code):
+        marks[code] = clock.now_ns
+        if stopwatch is not None:
+            mark_walls[code] = stopwatch()
+
+    table = _seam_table(backend)
+    table["mark"] = mark
     start_wall = stopwatch() if stopwatch is not None else None
-    marks, mark_walls = _replay_generic(trace, backend, stopwatch)
+    _replay_events(trace, table)
     end_wall = stopwatch() if stopwatch is not None else None
     _apply_footer(trace.footer, backend)
     wall_s = None if start_wall is None else end_wall - start_wall
     timed_wall = None
-    if end_wall is not None and fmt.MARK_TIMED in mark_walls:
-        timed_wall = end_wall - mark_walls[fmt.MARK_TIMED]
-    return ReplayResult(backend, len(trace), backend.machine.clock.now_ns,
-                        marks, wall_s, timed_wall)
+    if end_wall is not None and MARK_TIMED in mark_walls:
+        timed_wall = end_wall - mark_walls[MARK_TIMED]
+    return ReplayResult(backend, len(trace), clock.now_ns, marks, wall_s,
+                        timed_wall)
 
 
 def _apply_footer(footer, backend):
@@ -136,20 +124,13 @@ def _apply_footer(footer, backend):
         setattr(spot[0], spot[1], getattr(spot[0], spot[1]) + delta)
 
 
-def _replay_generic(trace, backend, stopwatch):
-    """Dispatch every event through the real seam methods."""
-    handler_for = _handlers(backend).get
-    clock = backend.machine.clock
-    marks = {}
-    mark_walls = {}
-    for kind, aux, addr, size, payload in trace.events():
-        handler = handler_for(kind)
-        if handler is not None:
-            handler(aux, addr, size, payload)
-        elif kind == fmt.MARK:
-            marks[aux] = clock.now_ns
-            if stopwatch is not None:
-                mark_walls[aux] = stopwatch()
-        else:
-            raise TraceError("unknown trace event kind %d" % kind)
-    return marks, mark_walls
+def _replay_events(trace, table):
+    """Call every event's seam in ``table`` with its recorded arguments."""
+    seam = None
+    try:
+        for seam, args in zip(trace.seams, trace.args):
+            table[seam](*args)
+    except KeyError:
+        if seam in table:
+            raise
+        raise TraceError("unknown trace event %r" % (seam,)) from None

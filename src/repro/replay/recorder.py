@@ -2,12 +2,13 @@
 
 The recorder wraps a live backend's *semantic* entry points — hierarchy
 loads/stores, raw address-space accesses, flush/fence, WAL append/reset,
-``persist()`` — with thin instance-level shims that append one columnar
-event each, then call through. A depth counter suppresses nested seams
-(e.g. the address-space writes ``Wal.append`` performs internally, or the
-home-fetch reads inside a cache miss), so the trace contains exactly the
-top-level operations replay must re-issue; everything below them is
-re-derived by the simulator during replay.
+``persist()`` — with one generic instance-level shim each, which logs
+the seam's name and the argument tuple it received, then calls through.
+A depth flag suppresses nested seams (e.g. the address-space writes
+``Wal.append`` performs internally, or the home-fetch reads inside a
+cache miss), so the trace contains exactly the top-level calls replay
+must re-issue; everything below them is re-derived by the simulator
+during replay.
 
 Recording is only faithful for workloads replay can re-execute: no
 crash/restart, no pipelined persists, no store hooks. Those paths raise
@@ -16,8 +17,26 @@ per-access path (see docs/performance.md).
 """
 
 from repro.errors import TraceUnsupportedError
-from repro.replay import format as fmt
 from repro.replay.equivalence import structure_stat_groups
+
+#: Mark code emitted by perfbench between preload and the timed phase.
+MARK_TIMED = 1
+
+#: Seam name -> (dotted path from the backend to the method, index of
+#: the argument that carries bytes, or None). Recording patches each
+#: path the backend has; replay calls the same paths on a fresh backend.
+SEAMS = {
+    "load": ("machine.hierarchy.load", None),
+    "store": ("machine.hierarchy.store", 2),
+    "writeback_line": ("machine.hierarchy.writeback_line", None),
+    "persist": ("machine.persist", None),
+    "raw_read": ("machine.space.read", None),
+    "raw_write": ("machine.space.write", 1),
+    "clwb": ("_flush.clwb", None),
+    "sfence": ("_flush.sfence", None),
+    "wal_append": ("_wal.append", 2),
+    "wal_reset": ("_wal.reset", None),
+}
 
 #: Backend scalar attributes restored after replay (the structure layer
 #: does not run during replay, so its volatile accounting is carried in
@@ -45,6 +64,33 @@ def _unsupported(what):
     return stub
 
 
+def _fence_by_keyword(append):
+    """``append`` taking ``fence`` by keyword, as WAL callers pass it;
+    the trace holds it positionally."""
+    def adapter(tx_id, addr, data, fence=True):
+        return append(tx_id, addr, data, fence)
+    return adapter
+
+
+class Trace:
+    """A recorded event stream plus its footer.
+
+    Event ``i`` is the top-level call ``seams[i](*args[i])``: the seam's
+    name (a :data:`SEAMS` key, or ``"mark"``) and the argument tuple it
+    received. Two parallel lists keep one tuple per event.
+    """
+
+    __slots__ = ("seams", "args", "footer")
+
+    def __init__(self, seams, args, footer):
+        self.seams = seams
+        self.args = args
+        self.footer = footer
+
+    def __len__(self):
+        return len(self.seams)
+
+
 class TraceRecorder:
     """Record one backend's event stream into a :class:`Trace`.
 
@@ -53,7 +99,7 @@ class TraceRecorder:
         recorder = TraceRecorder(backend)
         with recorder:
             drive_workload(backend)
-            recorder.mark(fmt.MARK_TIMED)
+            recorder.mark(MARK_TIMED)
             drive_timed_phase(backend)
         trace = recorder.finish()
 
@@ -71,11 +117,8 @@ class TraceRecorder:
         if getattr(self._machine.hierarchy, "num_cores", 1) != 1:
             raise TraceUnsupportedError(
                 "multi-core schedules are not yet recordable")
-        self._kinds = []
-        self._aux = []
-        self._addrs = []
-        self._sizes = []
-        self._payload = []
+        self._seams = []
+        self._args = []
         self._depth = 0
         self._patched = []   # (obj, attr_name) in attach order
         self._attached = False
@@ -84,23 +127,12 @@ class TraceRecorder:
         self._start_counters = {}
         self._start_scalars = {}
 
-    # -- event emission ---------------------------------------------------
-
-    def _emit(self, kind, aux=0, addr=0, size=0, payload=None):
-        self._kinds.append(kind)
-        self._aux.append(aux)
-        self._addrs.append(addr)
-        if payload is not None:
-            payload = bytes(payload)
-            size = len(payload)
-            self._payload.append(payload)
-        self._sizes.append(size)
-
-    def mark(self, code, label=b""):
-        """Insert a MARK event (e.g. :data:`fmt.MARK_TIMED`)."""
+    def mark(self, code):
+        """Insert a ``mark`` event (e.g. :data:`MARK_TIMED`)."""
         if not self._attached:
             raise TraceUnsupportedError("recorder is not attached")
-        self._emit(fmt.MARK, aux=code, payload=bytes(label))
+        self._seams.append("mark")
+        self._args.append((code,))
 
     # -- seam patching ----------------------------------------------------
 
@@ -110,12 +142,34 @@ class TraceRecorder:
         setattr(obj, name, wrapper)
         self._patched.append((obj, name))
 
+    def _shim(self, seam, orig, data_at):
+        """``orig`` logging each top-level call as ``(seam, args)``.
+
+        The argument at ``data_at`` is copied to ``bytes``, since a
+        caller may reuse its buffer after the call.
+        """
+        seams, arg_log = self._seams, self._args
+
+        def shim(*args):
+            if self._depth:
+                return orig(*args)
+            if data_at is not None and type(args[data_at]) is not bytes:
+                args = (args[:data_at] + (bytes(args[data_at]),)
+                        + args[data_at + 1:])
+            seams.append(seam)
+            arg_log.append(args)
+            self._depth = 1
+            try:
+                return orig(*args)
+            finally:
+                self._depth = 0
+        return shim
+
     def attach(self):
         """Install the recording shims. Idempotent per recorder."""
         if self._attached or self._finished:
             raise TraceUnsupportedError("recorder cannot be re-attached")
         backend, machine = self._backend, self._machine
-        emit = self._emit
         self._start_sim_ns = machine.clock.now_ns
         self._start_counters = {
             path: dict(group.counters())
@@ -127,97 +181,22 @@ class TraceRecorder:
                 if isinstance(value, int) and not isinstance(value, bool):
                     self._start_scalars[path] = value
 
-        hier = machine.hierarchy
-        call = self._call
-
-        def wrap_load(orig):
-            def load(core_id, addr, size):
-                if not self._depth:
-                    emit(fmt.LOAD, core_id, addr, size)
-                return call(orig, core_id, addr, size)
-            return load
-
-        def wrap_store(orig):
-            def store(core_id, addr, data):
-                if not self._depth:
-                    emit(fmt.STORE, core_id, addr, payload=data)
-                return call(orig, core_id, addr, data)
-            return store
-
-        def wrap_wbl(orig):
-            def writeback_line(line_addr):
-                if not self._depth:
-                    emit(fmt.WBL, 0, line_addr)
-                return call(orig, line_addr)
-            return writeback_line
-
-        def wrap_plain(orig, kind):
-            def seam():
-                if not self._depth:
-                    emit(kind)
-                return call(orig)
-            return seam
-
-        def wrap_raw(orig, kind, carries_payload):
-            def seam(addr, arg):
-                if not self._depth:
-                    if carries_payload:
-                        emit(kind, 0, addr, payload=arg)
-                    else:
-                        emit(kind, 0, addr, arg)
-                return call(orig, addr, arg)
-            return seam
-
-        def wrap_append(orig):
-            def append(tx_id, addr, data, fence=True):
-                if not self._depth:
-                    emit(fmt.WAL_APPEND, tx_id * 2 + bool(fence), addr,
-                         payload=data)
-                return call(orig, tx_id, addr, data, fence)
-            return append
-
-        self._wrap(hier, "load", wrap_load)
-        self._wrap(hier, "store", wrap_store)
-        self._wrap(hier, "writeback_line", wrap_wbl)
-        if hasattr(machine, "persist"):
-            self._patch(machine, "persist",
-                        wrap_plain(machine.persist, fmt.PERSIST))
+        for seam, (path, data_at) in SEAMS.items():
+            spot = _resolve(backend, path)
+            if spot is None:
+                continue
+            shim = self._shim(seam, getattr(*spot), data_at)
+            if seam == "wal_append":
+                shim = _fence_by_keyword(shim)
+            self._patch(spot[0], spot[1], shim)
         if hasattr(machine, "persist_async"):
             self._patch(machine, "persist_async",
                         _unsupported("persist_async (pipelined persists)"))
-        space = getattr(machine, "space", None)
-        if space is not None:
-            self._patch(space, "read",
-                        wrap_raw(space.read, fmt.RAW_READ, False))
-            self._patch(space, "write",
-                        wrap_raw(space.write, fmt.RAW_WRITE, True))
-        flush = getattr(backend, "_flush", None)
-        if flush is not None:
-            self._patch(flush, "clwb",
-                        wrap_raw(flush.clwb, fmt.CLWB, False))
-            self._patch(flush, "sfence",
-                        wrap_plain(flush.sfence, fmt.SFENCE))
-        wal = getattr(backend, "_wal", None)
-        if wal is not None:
-            self._patch(wal, "append", wrap_append(wal.append))
-            self._patch(wal, "reset",
-                        wrap_plain(wal.reset, fmt.WAL_RESET))
         for obj, name in ((backend, "crash"), (machine, "crash")):
             if hasattr(obj, name):
                 self._patch(obj, name, _unsupported("crash/restart"))
         self._attached = True
         return self
-
-    def _wrap(self, obj, name, factory):
-        self._patch(obj, name, factory(getattr(obj, name)))
-
-    def _call(self, orig, *args):
-        """Run the original seam with nested emission suppressed."""
-        self._depth += 1
-        try:
-            return orig(*args)
-        finally:
-            self._depth -= 1
 
     def detach(self):
         """Remove every shim (idempotent)."""
@@ -266,15 +245,14 @@ class TraceRecorder:
                     scalar_deltas[path] = delta
         footer = {
             "backend": getattr(backend, "name", type(backend).__name__),
-            "events": len(self._kinds),
+            "events": len(self._seams),
             "sim_ns_start": self._start_sim_ns,
             "sim_ns_end": machine.clock.now_ns,
             "counter_deltas": counter_deltas,
             "scalar_deltas": scalar_deltas,
             "meta": dict(meta or {}),
         }
-        return fmt.Trace(self._kinds, self._aux, self._addrs, self._sizes,
-                         b"".join(self._payload), footer)
+        return Trace(self._seams, self._args, footer)
 
 
 def record(backend, drive, meta=None):

@@ -95,8 +95,10 @@ _HOT_PATH_METHODS = {
     # WAL appends and resets run once per transaction of the pmdk, redo,
     # autopass and compiler backends.
     "baselines/wal.py": frozenset({"append", "reset"}),
-    "replay/engine.py": frozenset({"_replay_generic", "_handlers"}),
-    "replay/recorder.py": frozenset({"_emit"}),
+    # The replay loop and the seam table it calls through; the shim
+    # every recorded seam call passes.
+    "replay/engine.py": frozenset({"_replay_events", "_seam_table"}),
+    "replay/recorder.py": frozenset({"shim"}),
     "util/stats.py": frozenset({"record"}),
 }
 

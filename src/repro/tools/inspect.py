@@ -28,7 +28,7 @@ from repro.pm.pool import (
 )
 from repro.util.constants import NULL_ADDR, PAGE_SIZE
 
-_ROOT_KIND_NAMES = {
+_ROOT_KIND_LABELS = {
     ROOT_KIND_NONE: "none",
     ROOT_KIND_SINGLE: "single structure",
     ROOT_KIND_DIRECTORY: "named-root directory",
@@ -55,7 +55,7 @@ def inspect_pool(path):
         "path": path,
         "size_bytes": device.size,
         "committed_epoch": pool.committed_epoch,
-        "root_kind": _ROOT_KIND_NAMES.get(pool.root_kind,
+        "root_kind": _ROOT_KIND_LABELS.get(pool.root_kind,
                                           "unknown(%d)" % pool.root_kind),
         "root_ptr": pool.root_ptr,
         "log_capacity_entries": pool.log_size // 96,

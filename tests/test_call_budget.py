@@ -64,8 +64,8 @@ TRACE = {"workload": "mixed", "ops": 64, "records": 96, "seed": 1}
 BUDGET = {
     "build_pax": 48720,
     "build_pmdk": 25191,
-    "replay_pax": 14011,
-    "replay_pmdk": 29703,
+    "replay_pax": 12087,
+    "replay_pmdk": 25411,
 }
 SLACK = 0.02
 

@@ -226,6 +226,29 @@ def test_hot_path_map_covers_the_miss_side_seams(path, method):
         ("hot-path-counter-call", 3), ("hot-path-stat-lookup", 4)]
 
 
+def test_hot_path_map_names_only_defined_functions():
+    # A stale entry (a renamed or deleted function) would silently check
+    # nothing; every name must be a function, nested ones included, in
+    # its file.
+    import ast
+    import os
+
+    import repro
+    from repro.staticcheck.rules import _HOT_PATH_METHODS
+
+    root = os.path.dirname(os.path.abspath(repro.__file__))
+    stale = []
+    for suffix, methods in sorted(_HOT_PATH_METHODS.items()):
+        with open(os.path.join(root, suffix)) as handle:
+            tree = ast.parse(handle.read())
+        defined = {node.name for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef,
+                                        ast.AsyncFunctionDef))}
+        stale.extend("%s:%s" % (suffix, name)
+                     for name in sorted(methods - defined))
+    assert stale == []
+
+
 def test_hot_path_counter_call_honours_suppression():
     source = (
         "class Hierarchy:\n"

@@ -13,8 +13,7 @@ import pytest
 from repro.errors import TraceError, TraceUnsupportedError
 from repro.perfbench import BACKENDS, build_backend
 from repro.pm import log as pm_log
-from repro.replay import load_trace_bytes, record, replay_trace
-from repro.replay import format as fmt
+from repro.replay import MARK_TIMED, record, replay_trace
 from repro.replay.equivalence import diff, fingerprint
 from repro.sim.rng import DeterministicRng
 from repro.util.fastpath import SLOW_PATH_ENV
@@ -26,7 +25,7 @@ def _drive(live, recorder=None, ops=300, records=32, seed=11):
     for i in range(records):
         live.put(i, i * 7)
     if recorder is not None:
-        recorder.mark(fmt.MARK_TIMED)
+        recorder.mark(MARK_TIMED)
     for i in range(ops):
         key = rng.randint(0, records - 1)
         if i % 3 == 0:
@@ -67,22 +66,12 @@ def test_generic_engine_matches_per_access(monkeypatch, name):
     assert result.sim_ns == golden.machine.clock.now_ns
 
 
-def test_replay_from_serialized_bytes_matches():
-    # The equivalence must survive a disk round trip, not just the
-    # in-memory Trace object.
-    golden, trace = _record_golden("pax")
-    reloaded = load_trace_bytes(trace.to_bytes())
-    fresh = build_backend("pax")
-    replay_trace(reloaded, fresh)
-    assert diff(fingerprint(golden), fingerprint(fresh)) == []
-
-
 def test_replay_is_repeatable(monkeypatch):
-    # The second replay of one Trace object reuses its payload slices and
-    # finds every log entry in the encoder memo; the first starts with
-    # both empty. Both must match the recording. pax writes undo-log
-    # entries and pmdk WAL entries through that memo; redo's WAL appends
-    # skip the fence, which the event's aux column carries.
+    # The second replay of one Trace object finds every log entry in the
+    # encoder memo; the first starts with it empty. Both must match the
+    # recording. pax writes undo-log entries and pmdk WAL entries through
+    # that memo; redo's WAL appends skip the fence, which callers pass by
+    # keyword and the recorded event holds positionally.
     for name in ("pax", "pmdk", "redo"):
         golden, trace = _record_golden(name)
         monkeypatch.setattr(pm_log, "_ENCODED", {})
@@ -98,8 +87,8 @@ def test_unknown_event_kind_names_it(replayed_before):
     _golden, trace = _record_golden("pax")
     if replayed_before:
         replay_trace(trace, build_backend("pax"))
-    trace.kinds[0] = 99
-    with pytest.raises(TraceError, match="unknown trace event kind 99"):
+    trace.seams[0] = "teleport"
+    with pytest.raises(TraceError, match="unknown trace event 'teleport'"):
         replay_trace(trace, build_backend("pax"))
 
 
@@ -107,7 +96,7 @@ def test_marks_reported():
     _golden, trace = _record_golden("pax")
     fresh = build_backend("pax")
     result = replay_trace(trace, fresh)
-    assert fmt.MARK_TIMED in result.marks
+    assert MARK_TIMED in result.marks
     assert result.sim_ns_timed <= result.sim_ns
 
 
