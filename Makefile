@@ -4,7 +4,7 @@ PYTHON ?= python
 
 .PHONY: install test bench examples quicktest lint \
 	fuzz fuzz-smoke perfbench \
-	perfbench-compare obs-smoke obs-overhead chaos-smoke \
+	obs-smoke obs-overhead chaos-smoke \
 	sweep sweep-smoke clean
 
 install:
@@ -48,15 +48,13 @@ fuzz-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.crashtest.fuzz --iterations 50 --seed 7 --progress 0 $(FUZZ_FLAGS)
 
 # Wall-clock performance of the simulator itself (not simulated time);
-# see docs/performance.md. `perfbench` regenerates the committed
-# baseline BENCH_PR3.json; `perfbench-compare` grades a fresh run
-# against it and fails on >30% throughput regression or any simulated-
-# time drift.
+# see docs/performance.md. `perfbench` runs the default matrix into
+# perfbench.json and grades it against the committed baseline
+# BENCH.json, recorded at the same configuration: it fails on a >70%
+# throughput drop or any change to sim_ns or a counter in any cell.
+# Re-record the baseline with `python -m repro.perfbench --out BENCH.json`.
 perfbench:
-	PYTHONPATH=src $(PYTHON) -m repro.perfbench --out BENCH_PR3.json
-
-perfbench-compare:
-	PYTHONPATH=src $(PYTHON) -m repro.perfbench --out /tmp/perfbench-current.json --compare BENCH_PR3.json
+	PYTHONPATH=src $(PYTHON) -m repro.perfbench --compare BENCH.json
 
 # Observability (docs/observability.md): `obs-smoke` traces a fixed-seed
 # perfbench microworkload, summarizes it, and schema-checks the Chrome
@@ -65,6 +63,7 @@ perfbench-compare:
 obs-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.perfbench --ops 2000 --records 400 \
 		--workloads store_heavy,mixed --backends pax,pmdk \
+		--engine access --repeats 1 \
 		--out /tmp/obs-smoke.json --trace /tmp/obs-trace.jsonl
 	PYTHONPATH=src $(PYTHON) -m repro.obs summarize /tmp/obs-trace.jsonl
 	PYTHONPATH=src $(PYTHON) -m repro.obs convert /tmp/obs-trace.jsonl --to chrome -o /tmp/obs-trace.json

@@ -34,6 +34,12 @@ class KvBackend:
     #: survives a crash), ``"per-persist"`` (a crash recovers the state
     #: of the last ``persist()``) or ``"none"``.
     durability = "none"
+    #: Whether :mod:`repro.replay` can record this backend: every
+    #: simulated effect of an operation must pass through a recorded
+    #: machine seam. A backend whose accessor acts on the machine outside
+    #: those seams (a page-fault handler charging trap latency to the
+    #: clock) declares ``False``, and the recorder refuses it.
+    recordable = True
 
     def __init__(self):
         self.stats = StatGroup(self.name)

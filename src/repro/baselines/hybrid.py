@@ -138,6 +138,10 @@ class HybridBackend(StructureBackend):
 
     name = "hybrid"
     durability = "per-persist"
+    # A write fault charges trap latency and invalidates the page's
+    # direct-path lines outside the recorded seams, so a replay would
+    # not take it.
+    recordable = False
 
     def __init__(self, pool_size=64 * 1024 * 1024, log_size=4 * 1024 * 1024,
                  capacity=1024, link="cxl", pax_config=None,

@@ -96,6 +96,9 @@ class MprotectBackend(StructureBackend):
 
     name = "mprotect"
     durability = "per-persist"
+    # The fault handler charges trap latency and logs the page outside
+    # the recorded seams, so a replay would not take its faults.
+    recordable = False
 
     def __init__(self, heap_size=64 * 1024 * 1024, log_pages=None,
                  capacity=1024, **machine_kwargs):

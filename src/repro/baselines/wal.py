@@ -290,6 +290,11 @@ class WalBackend(StructureBackend):
         return recovered
 
     @property
+    def committed_tx(self):
+        """Id of the last transaction whose commit reached PM."""
+        return self._cells.committed_tx
+
+    @property
     def sfence_count(self):
         """Ordering stalls so far — the paper's overhead argument in a number."""
         return self._flush.sfence_count

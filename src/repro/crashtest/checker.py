@@ -61,16 +61,18 @@ def _first_difference(got, want):
     return None
 
 
-def check_prefix_atomic(recovered, operations, base_state=None):
+def check_prefix_atomic(recovered, operations, base_state=None,
+                        min_prefix=0):
     """Per-op durability contract: recovered == state after some op prefix.
 
     ``operations`` is the ordered list of ``(kind, key, value)`` mutations
-    issued after ``base_state``. Returns the matching prefix length, or
-    raises :class:`ReproError` if no prefix matches (a torn operation is
-    visible).
+    issued after ``base_state``; the first ``min_prefix`` of them are
+    known durable (their commit reached PM), so no shorter prefix counts.
+    Returns the matching prefix length, or raises :class:`ReproError` if
+    no prefix matches (a torn or a lost operation is visible).
     """
     state = dict(base_state or {})
-    if recovered == state:
+    if recovered == state and min_prefix == 0:
         return 0
     for index, (kind, key, value) in enumerate(operations):
         if kind == "put":
@@ -79,11 +81,11 @@ def check_prefix_atomic(recovered, operations, base_state=None):
             state.pop(key, None)
         else:
             raise ReproError("unknown mutation kind %r" % (kind,))
-        if recovered == state:
+        if recovered == state and index + 1 >= min_prefix:
             return index + 1
     raise ReproError(
-        "recovered state matches no operation prefix (%d pairs recovered)"
-        % len(recovered))
+        "recovered state matches no operation prefix of at least %d "
+        "(%d pairs recovered)" % (min_prefix, len(recovered)))
 
 
 def verify_map_integrity(table):

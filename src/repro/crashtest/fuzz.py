@@ -19,7 +19,8 @@ The oracle is the target's durability contract:
 ``per-op`` (pmdk, redo, compiler, autopass)
     The recovered contents equal the completed operations plus at most
     an atomic prefix of the one the crash cut
-    (:func:`~repro.crashtest.checker.check_prefix_atomic`).
+    (:func:`~repro.crashtest.checker.check_prefix_atomic`) — all of it
+    when its commit reached PM before the crash.
 
 Either way the structure must pass an integrity walk and then take one
 more put and read it back. Exactly two outcomes are acceptable:
@@ -248,15 +249,19 @@ def run_iteration(seed, target="pool", allow_link=True, sanitize=False,
     per_op = kv.durability == "per-op"
     tracker = SnapshotTracker()
     inflight = []
+    commit_at_start = None    # a per-op target's commit cell at op start
 
     injector = FaultInjector(kv.machine, plan, rng=rng.fork("faults"))
     injector.arm(rng.randint(0, MAX_STORES_UNTIL_CRASH))
     op_rng = rng.fork("ops")
 
     def workload():
+        nonlocal commit_at_start
         for _ in range(op_rng.randint(10, 60)):
             roll = op_rng.random()
             key = op_rng.randint(0, KEY_SPACE - 1)
+            if per_op:
+                commit_at_start = kv.committed_tx
             # The mirror updates only after the target's op returns, so a
             # crash mid-op leaves ``tracker`` at the completed prefix and
             # ``inflight`` naming the cut operation.
@@ -294,6 +299,11 @@ def run_iteration(seed, target="pool", allow_link=True, sanitize=False,
         # The workload outran the crash point; cut the power now so every
         # iteration exercises recovery.
         injector.crash()
+    # A cut operation whose commit reached PM before the crash is durable:
+    # recovery must keep all of it, not merely some prefix.
+    durable = 0
+    if per_op and inflight and kv.committed_tx != commit_at_start:
+        durable = len(inflight)
 
     # A double fault can destroy every durable trace of the newest
     # commit: the tear reverts the log reset (re-arming the old epoch's
@@ -311,7 +321,8 @@ def run_iteration(seed, target="pool", allow_link=True, sanitize=False,
         kv.restart()
         pairs = verify_map_integrity(kv)
         if per_op:
-            check_prefix_atomic(pairs, inflight, base_state=tracker.snapshot)
+            check_prefix_atomic(pairs, inflight, base_state=tracker.snapshot,
+                                min_prefix=durable)
         elif pairs not in acceptable:
             tracker.check_snapshot(pairs)   # raises with the diff
         # Liveness: the recovered target must still take writes.

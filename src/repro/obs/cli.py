@@ -9,10 +9,11 @@ Subcommands:
 * ``validate PATH`` — schema-check a trace file (JSONL or Chrome JSON);
   what CI runs on every exported artifact.
 * ``overhead`` — measure what tracing costs: runs the perfbench
-  store-heavy microworkload untraced, with a disabled tracer attached,
-  and recording, then asserts the disabled-tracer regime stays within
-  tolerance of untraced and that simulated time is identical across all
-  three (the "tracing never perturbs the simulation" guarantee).
+  store-heavy microworkload on pax untraced, with a disabled tracer
+  attached, and recording, then asserts the disabled-tracer regime stays
+  within 5% of untraced and that simulated time is identical across all
+  three (the "tracing never perturbs the simulation" guarantee). It
+  takes no options: the cell and the budget are the constants below.
 
 Exit codes follow the repro CLI contract shared with
 ``repro.staticcheck``: 0 success, 1 findings/failures, 2 usage or I/O
@@ -26,13 +27,21 @@ import sys
 from repro.errors import ConfigError
 from repro.obs.export import (read_jsonl, validate_chrome_trace,
                               write_chrome_trace, write_jsonl)
-from repro.obs.tracer import DEFAULT_CAPACITY, EVENT_SPAN, ObsTracer
+from repro.obs.tracer import EVENT_SPAN, ObsTracer
 
 #: Percentiles printed per category by ``summarize``.
 _PERCENTILES = (50.0, 99.0)
 
 #: Epoch-commit timeline rows printed before truncation.
 _TIMELINE_LIMIT = 24
+
+#: The ``overhead`` gate's cell: perfbench's store-heavy workload on
+#: pax, best wall clock of 5 runs per regime.
+_OVERHEAD_CELL = dict(workload="store_heavy", backend_name="pax", ops=6000,
+                      records=800, seed=42, repeats=5)
+
+#: Allowed tracer-disabled slowdown against untraced (fraction).
+_OVERHEAD_BUDGET = 0.05
 
 
 def _percentile(ordered, p):
@@ -158,23 +167,20 @@ def _cmd_validate(options):
     return 0
 
 
-def _cmd_overhead(options):
+def _cmd_overhead(_options):
     from repro.perfbench import run_cell
 
     def measure(tracer):
-        return run_cell(options.workload, options.backend, ops=options.ops,
-                        records=options.records, seed=options.seed,
-                        repeats=options.repeats, tracer=tracer)
+        return run_cell(tracer=tracer, **_OVERHEAD_CELL)
 
     untraced = measure(None)
-    muted_tracer = ObsTracer(capacity=options.capacity)
+    muted_tracer = ObsTracer()
     muted_tracer.enabled = False
     muted = measure(muted_tracer)
-    recording = measure(ObsTracer(capacity=options.capacity))
+    recording = measure(ObsTracer())
 
-    sys.stdout.write(
-        "%s/%s ops=%d repeats=%d\n"
-        % (options.workload, options.backend, options.ops, options.repeats))
+    sys.stdout.write("%(workload)s/%(backend_name)s ops=%(ops)d "
+                     "repeats=%(repeats)d\n" % _OVERHEAD_CELL)
     rows = (("untraced", untraced), ("tracer-disabled", muted),
             ("recording", recording))
     for label, cell in rows:
@@ -188,20 +194,20 @@ def _cmd_overhead(options):
                 "%s changed simulated time: %d != %d ns — tracing perturbed "
                 "the simulation" % (label, cell["sim_ns"],
                                     untraced["sim_ns"]))
-    floor = untraced["ops_per_sec"] * (1.0 - options.tolerance)
+    floor = untraced["ops_per_sec"] * (1.0 - _OVERHEAD_BUDGET)
     if muted["ops_per_sec"] < floor:
         overhead = 1.0 - muted["ops_per_sec"] / untraced["ops_per_sec"]
         failures.append(
             "tracer-disabled overhead %.1f%% exceeds %.0f%% budget "
             "(%.0f ops/s vs untraced %.0f)"
-            % (overhead * 100, options.tolerance * 100,
+            % (overhead * 100, _OVERHEAD_BUDGET * 100,
                muted["ops_per_sec"], untraced["ops_per_sec"]))
     for failure in failures:
         sys.stdout.write("FAIL: %s\n" % failure)
     if not failures:
         sys.stdout.write("OK: tracer-disabled within %.0f%% of untraced, "
                          "sim_ns identical across all regimes\n"
-                         % (options.tolerance * 100))
+                         % (_OVERHEAD_BUDGET * 100))
     return 1 if failures else 0
 
 
@@ -236,16 +242,6 @@ def build_parser():
     overhead = commands.add_parser(
         "overhead",
         help="assert tracing overhead and determinism guarantees")
-    overhead.add_argument("--workload", default="store_heavy")
-    overhead.add_argument("--backend", default="pax")
-    overhead.add_argument("--ops", type=int, default=8000)
-    overhead.add_argument("--records", type=int, default=1000)
-    overhead.add_argument("--seed", type=int, default=42)
-    overhead.add_argument("--repeats", type=int, default=5,
-                          help="best-of-N wall-clock per regime")
-    overhead.add_argument("--tolerance", type=float, default=0.05,
-                          help="allowed tracer-disabled slowdown (fraction)")
-    overhead.add_argument("--capacity", type=int, default=DEFAULT_CAPACITY)
     overhead.set_defaults(func=_cmd_overhead)
     return parser
 

@@ -6,17 +6,18 @@ regressions (an accidental per-access allocation, a string-keyed stat
 lookup creeping back in) are caught by a number rather than by a feeling.
 See docs/performance.md for the design rules this harness polices.
 
-``python -m repro.perfbench`` runs a fixed workload x backend matrix and
-writes a JSON report (see :data:`SCHEMA`); ``--compare`` grades a fresh
-run against a committed baseline and fails on regression. Two different
-quantities appear in a report and are deliberately kept apart:
+``python -m repro.perfbench`` runs a fixed workload x backend x engine
+matrix and writes a JSON report (see :data:`SCHEMA`); ``--compare``
+grades a fresh run against a committed baseline recorded at the same
+configuration (:func:`compare`). Two kinds of quantity appear in a cell
+and are deliberately kept apart:
 
-* ``ops_per_sec`` — wall-clock throughput. Machine-dependent; compared
-  with a tolerance.
-* ``sim_ns`` — simulated time the workload consumed. Machine-independent
-  and fully deterministic; compared exactly when configurations match,
-  because any drift means simulated *behaviour* changed, which is never
-  acceptable for a performance-only patch.
+* ``wall_s`` / ``ops_per_sec`` — wall-clock throughput. Machine-dependent;
+  compared with a fixed :data:`TOLERANCE`.
+* everything else (``sim_ns``, the :data:`CELL_COUNTERS`) — simulated
+  quantities. Machine-independent and fully deterministic; compared
+  exactly, because any drift means simulated *behaviour* changed, which
+  is never acceptable for a performance-only patch.
 
 Wall-clock timing is inherently non-deterministic, so this package (like
 ``sim/clock.py``) is sanctioned to import :mod:`time`; nothing here feeds
@@ -34,10 +35,7 @@ from repro.replay import MARK_TIMED, record, replay_trace
 from repro.sim.rng import DeterministicRng
 
 #: Report format identifier, bumped on incompatible layout changes.
-SCHEMA = "repro.perfbench/1"
-
-#: Comparison report format identifier (see :func:`compare_report`).
-COMPARE_SCHEMA = "repro.perfbench.compare/1"
+SCHEMA = "repro.perfbench/2"
 
 #: Workloads in the default matrix.
 WORKLOADS = ("store_heavy", "load_heavy", "mixed")
@@ -59,12 +57,22 @@ BACKENDS = ("dram", "pm_direct", "pmdk", "compiler", "autopass", "pax")
 #: auto-placed gate placement differ shows up in these columns.
 CELL_COUNTERS = ("gate_count", "sfence_count", "wal_bytes")
 
-#: Default operation counts: sized so a full matrix finishes in about a
-#: minute on a laptop while still spending >90% of its time in the
-#: simulator's per-access path.
-DEFAULT_OPS = 20000
-DEFAULT_RECORDS = 2000
+#: The CLI's defaults, the configuration the committed baseline
+#: ``BENCH.json`` is recorded at and CI grades: the full matrix on both
+#: engines in well under a minute, best of two runs per cell.
+DEFAULT_OPS = 4000
+DEFAULT_RECORDS = 800
 DEFAULT_SEED = 42
+DEFAULT_REPEATS = 2
+
+#: Allowed fractional throughput drop, the one field graded with slack:
+#: on the 2-vCPU VM that recorded ``BENCH.json`` a cell ran up to 2.4x
+#: slower in one process than in another, whatever the repeat count.
+TOLERANCE = 0.70
+
+#: Cell fields measured on the wall clock; :func:`compare` checks every
+#: other field exactly.
+WALL_FIELDS = ("wall_s", "ops_per_sec")
 
 #: Same ~8x-scaled cache geometry the pytest benchmarks use, so perfbench
 #: exercises the realistic mixed hit/miss regime rather than pure L1 hits.
@@ -221,21 +229,6 @@ def _drive_replay(workload, backend_name, ops, records, seed):
     return result.wall_s_timed, result.sim_ns_timed, backend
 
 
-def attach_tracer(backend, tracer):
-    """Wire ``tracer`` into ``backend`` through its richest attach hook.
-
-    ``repro.obs`` tracers know how to attach themselves (adopting the
-    backend's simulated clock); plain :class:`~repro.sanitizer.base.Tracer`
-    objects go through the backend's or machine's ``attach_tracer``.
-    """
-    self_attach = getattr(tracer, "attach", None)
-    if self_attach is not None:
-        self_attach(backend)
-        return
-    hook = getattr(backend, "attach_tracer", None)
-    (hook or backend.machine.attach_tracer)(tracer)
-
-
 def _run_cell(workload, backend_name, ops, records, seed, repeats, tracer,
               engine="access"):
     """Measure one cell; returns ``(result dict, last backend)``."""
@@ -257,7 +250,7 @@ def _run_cell(workload, backend_name, ops, records, seed, repeats, tracer,
         else:
             backend = build_backend(backend_name)
             if tracer is not None:
-                attach_tracer(backend, tracer)
+                tracer.attach(backend)
             wall_s, cell_sim_ns = _drive(backend, workload, ops, records,
                                          seed)
         if sim_ns is None:
@@ -296,10 +289,10 @@ def run_cell(workload, backend_name, ops=DEFAULT_OPS, records=DEFAULT_RECORDS,
     ``sim_ns`` is identical across repeats by construction; this is
     asserted, making every multi-repeat run a free determinism check.
 
-    ``tracer`` (a :class:`~repro.obs.tracer.ObsTracer` or any sanitizer
-    tracer) is attached to every rebuilt backend; since tracers only
-    observe, the ``sim_ns`` assertion keeps holding — which is how the
-    harness proves tracing never perturbs the simulation.
+    ``tracer`` (a :class:`~repro.obs.tracer.ObsTracer`) is attached to
+    every rebuilt backend; since tracers only observe, the ``sim_ns``
+    assertion keeps holding — which is how the harness proves tracing
+    never perturbs the simulation.
 
     ``engine`` selects how the cell executes (see :data:`ENGINES`).
     Replay cells record the per-access event stream once, then measure
@@ -322,9 +315,9 @@ def run_matrix(workloads=WORKLOADS, backends=BACKENDS, ops=DEFAULT_OPS,
     cell with its (last-repeat) backend and tracer, so the CLI can dump
     trace events and metrics without the report format changing.
 
-    ``engines`` extends the matrix with a third axis; the default stays
-    access-only so existing baselines keep their shape. Grids over cache
-    geometry and miss-path mechanisms belong to :mod:`repro.sweep`.
+    ``engines`` is the matrix's third axis (see :data:`ENGINES`). Grids
+    over cache geometry and miss-path mechanisms belong to
+    :mod:`repro.sweep`.
     """
     results = []
     for engine in engines:
@@ -342,17 +335,17 @@ def run_matrix(workloads=WORKLOADS, backends=BACKENDS, ops=DEFAULT_OPS,
                     cell_hook(cell, backend, tracer)
     return {
         "schema": SCHEMA,
-        "config": {
-            "ops": ops,
-            "records": records,
-            "seed": seed,
-            "repeats": repeats,
-            "workloads": list(workloads),
-            "backends": list(backends),
-            "engines": list(engines),
-        },
+        "config": matrix_config(workloads, backends, ops, records, seed,
+                                repeats, engines),
         "results": results,
     }
+
+
+def matrix_config(workloads, backends, ops, records, seed, repeats, engines):
+    """The ``config`` of :func:`run_matrix`'s report for these arguments."""
+    return {"ops": ops, "records": records, "seed": seed, "repeats": repeats,
+            "workloads": list(workloads), "backends": list(backends),
+            "engines": list(engines)}
 
 
 def write_report(report, path):
@@ -373,94 +366,49 @@ def load_report(path):
 
 
 def _cell_key(cell):
-    """Identity of a cell across reports. Baselines written before the
-    engine axis existed (``BENCH_PR3.json``) carry no ``engine`` field;
-    those cells are access cells by construction. Perfbench cells carry
-    no ``mechanisms`` field; the sweep's perfbench view
-    (:func:`repro.sweep.report.perfbench_view`) writes its variant id
-    there."""
-    return (cell["workload"], cell["backend"], cell.get("engine", "access"),
-            cell.get("mechanisms", "none"))
+    return cell["workload"], cell["backend"], cell["engine"]
 
 
-def compare_report(current, baseline, tolerance=0.30):
-    """Grade ``current`` against ``baseline``; returns a comparison dict.
-
-    The dict (schema :data:`COMPARE_SCHEMA`) is the machine-readable form
-    the CLI writes next to its human-readable verdict: one entry per cell
-    present in both reports, carrying both wall-clock figures, the delta,
-    and the pass/fail flags, plus the flat ``problems`` list that
-    :func:`compare` returns.
-
-    Two checks, matching the two quantities in a report:
-
-    * wall-clock: a cell regresses when its throughput drops below
-      ``baseline * (1 - tolerance)``. Tolerant, because machines differ.
-    * simulated time: compared **exactly**, but only when the two reports
-      ran the same config (ops/records/seed) — ``sim_ns`` must not move
-      under a performance-only change.
-
-    Cells present in only one report are ignored (the matrix may grow).
-    """
-    if not 0 <= tolerance < 1:
-        raise ConfigError("tolerance must be in [0, 1)")
-    base_cells = {_cell_key(cell): cell for cell in baseline["results"]}
-    same_config = all(
-        current["config"].get(key) == baseline["config"].get(key)
-        for key in ("ops", "records", "seed"))
-    cells = []
-    problems = []
-    for cell in current["results"]:
-        workload, backend, engine, _mechanisms = _cell_key(cell)
-        base = base_cells.get(_cell_key(cell))
-        if base is None:
-            continue
-        floor = base["ops_per_sec"] * (1.0 - tolerance)
-        regressed = cell["ops_per_sec"] < floor
-        ratio = (cell["ops_per_sec"] / base["ops_per_sec"]
-                 if base["ops_per_sec"] > 0 else 0.0)
-        entry = {
-            "workload": workload,
-            "backend": backend,
-            "engine": engine,
-            "wall_s": cell["wall_s"],
-            "baseline_wall_s": base["wall_s"],
-            "wall_s_delta": round(cell["wall_s"] - base["wall_s"], 6),
-            "ops_per_sec": cell["ops_per_sec"],
-            "baseline_ops_per_sec": base["ops_per_sec"],
-            "throughput_ratio": round(ratio, 4),
-            "regressed": regressed,
-            "sim_ns": cell["sim_ns"],
-            "baseline_sim_ns": base["sim_ns"],
-            "sim_ns_checked": same_config,
-            "sim_ns_match": cell["sim_ns"] == base["sim_ns"],
-        }
-        cells.append(entry)
-        if regressed:
-            problems.append(
-                "%s/%s[%s]: %.0f ops/s is below %.0f (baseline %.0f - %d%%)"
-                % (workload, backend, engine, cell["ops_per_sec"],
-                   floor, base["ops_per_sec"], round(tolerance * 100)))
-        if same_config and cell["sim_ns"] != base["sim_ns"]:
-            problems.append(
-                "%s/%s[%s]: simulated time changed %d -> %d ns under "
-                "identical config; the patch changed behaviour, not just "
-                "speed"
-                % (workload, backend, engine, base["sim_ns"],
-                   cell["sim_ns"]))
-    return {
-        "schema": COMPARE_SCHEMA,
-        "tolerance": tolerance,
-        "same_config": same_config,
-        "cells": cells,
-        "problems": problems,
-    }
+def check_config(config, baseline):
+    """Raise :class:`ConfigError` unless ``baseline`` ran ``config``."""
+    if config != baseline["config"]:
+        raise ConfigError(
+            "cannot grade a run of config %s against a baseline of config "
+            "%s; re-record the baseline or rerun at its config"
+            % (json.dumps(config, sort_keys=True),
+               json.dumps(baseline["config"], sort_keys=True)))
 
 
-def compare(current, baseline, tolerance=0.30):
+def compare(current, baseline):
     """Grade ``current`` against ``baseline``; returns a list of problems.
 
-    Convenience wrapper over :func:`compare_report` — the flat problem
-    strings only, for callers that just need a pass/fail verdict.
+    The two reports must have run the same ``config`` (else
+    :class:`ConfigError`), so every cell has a twin. A cell's throughput
+    may fall at most :data:`TOLERANCE` below its twin's; every other
+    field (``sim_ns``, ``ops``, the :data:`CELL_COUNTERS`) must be equal.
     """
-    return compare_report(current, baseline, tolerance)["problems"]
+    check_config(current["config"], baseline)
+    base_cells = {_cell_key(cell): cell for cell in baseline["results"]}
+    problems = []
+    for cell in current["results"]:
+        key = _cell_key(cell)
+        name = "%s/%s[%s]" % key
+        base = base_cells.pop(key, None)
+        if base is None:
+            problems.append("%s: not in the baseline" % name)
+            continue
+        floor = base["ops_per_sec"] * (1.0 - TOLERANCE)
+        if cell["ops_per_sec"] < floor:
+            problems.append(
+                "%s: %.0f ops/s is below %.0f (baseline %.0f - %d%%)"
+                % (name, cell["ops_per_sec"], floor, base["ops_per_sec"],
+                   round(TOLERANCE * 100)))
+        for field in sorted(set(cell) | set(base)):
+            if field not in WALL_FIELDS and cell.get(field) != base.get(field):
+                problems.append(
+                    "%s: %s changed %r -> %r under identical config; the "
+                    "patch changed behaviour, not just speed"
+                    % (name, field, base.get(field), cell.get(field)))
+    problems.extend("%s/%s[%s]: missing from this run" % key
+                    for key in base_cells)
+    return problems

@@ -2,27 +2,27 @@
 
 Examples::
 
-    python -m repro.perfbench                          # full matrix -> BENCH_PR3.json
-    python -m repro.perfbench --ops 4000 --out smoke.json
-    python -m repro.perfbench --compare BENCH_PR3.json # measure, then grade
-    python -m repro.perfbench --engine replay          # trace-replay engine
-    python -m repro.perfbench --trace trace.jsonl      # + structured trace
+    python -m repro.perfbench --compare BENCH.json  # measure, then grade
+    python -m repro.perfbench --out BENCH.json      # re-record the baseline
+    python -m repro.perfbench --engine replay       # trace-replay engine
+    python -m repro.perfbench --trace trace.jsonl   # + structured trace
 
-``--compare`` prints a human verdict and also writes the full per-cell
-comparison (wall-clock deltas, throughput ratios, sim_ns checks) as JSON
-next to the report (``<out>`` with a ``.compare.json`` suffix), for
-dashboards and CI artifacts.
+The defaults are the configuration ``BENCH.json`` is recorded at; a run
+at any other configuration cannot be graded against it.
 
-Exit status: 0 on success, 1 on a comparison failure — wired for CI.
+Exit status: 0 on success, 1 on a comparison failure, 2 when the
+baseline is unreadable or ran another configuration — wired for CI.
 """
 
 import argparse
-import json
 import sys
 
+from repro.errors import ConfigError
 from repro.perfbench import (BACKENDS, DEFAULT_OPS, DEFAULT_RECORDS,
-                             DEFAULT_SEED, WORKLOADS, compare_report,
-                             load_report, run_matrix, write_report)
+                             DEFAULT_REPEATS, DEFAULT_SEED, ENGINES,
+                             TOLERANCE, WORKLOADS, check_config, compare,
+                             load_report, matrix_config, run_matrix,
+                             write_report)
 
 
 def main(argv=None):
@@ -37,35 +37,46 @@ def main(argv=None):
                         help="records preloaded before timing (default %(default)s)")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="workload RNG seed (default %(default)s)")
-    parser.add_argument("--repeats", type=int, default=1,
+    parser.add_argument("--repeats", type=int, default=DEFAULT_REPEATS,
                         help="runs per cell; best wall-clock wins (default %(default)s)")
     parser.add_argument("--workloads", default=",".join(WORKLOADS),
                         help="comma-separated workload list (default %(default)s)")
     parser.add_argument("--backends", default=",".join(BACKENDS),
                         help="comma-separated backend list (default %(default)s)")
-    parser.add_argument("--engine", default="access",
+    parser.add_argument("--engine", default=",".join(ENGINES),
                         help="comma-separated engine list: access, replay "
                              "(default %(default)s)")
-    parser.add_argument("--out", default="BENCH_PR3.json",
+    parser.add_argument("--out", default="perfbench.json",
                         help="report path (default %(default)s)")
     parser.add_argument("--compare", metavar="BASELINE",
-                        help="grade this run against a baseline report; "
-                             "exit 1 on regression")
-    parser.add_argument("--tolerance", type=float, default=0.30,
-                        help="allowed fractional wall-clock drop vs the "
-                             "baseline (default %(default)s)")
+                        help="grade this run against a baseline report "
+                             "of the same configuration; exit 1 on "
+                             "regression")
     parser.add_argument("--trace", metavar="PATH",
-                        help="attach a repro.obs tracer to every cell and "
-                             "write the events as a JSONL trace")
+                        help="attach a repro.obs tracer to every access "
+                             "cell and write the events as a JSONL trace")
     parser.add_argument("--metrics", metavar="PATH",
-                        help="dump every cell's stat counters/histograms "
-                             "in Prometheus text format")
+                        help="dump every access cell's stat counters/"
+                             "histograms in Prometheus text format")
     args = parser.parse_args(argv)
+    matrix = dict(workloads=args.workloads.split(","),
+                  backends=args.backends.split(","), ops=args.ops,
+                  records=args.records, seed=args.seed,
+                  repeats=args.repeats, engines=args.engine.split(","))
+    baseline = None
+    if args.compare:
+        # A baseline that cannot grade this run fails before the run.
+        try:
+            baseline = load_report(args.compare)
+            check_config(matrix_config(**matrix), baseline)
+        except (ConfigError, OSError, ValueError) as exc:
+            print("perfbench: %s" % exc, file=sys.stderr)
+            return 2
 
     def progress(cell):
         print("%-12s %-10s %-7s %8.0f ops/s  (%.3fs wall, %d sim-ns)"
               % (cell["workload"], cell["backend"],
-                 cell.get("engine", "access"), cell["ops_per_sec"],
+                 cell["engine"], cell["ops_per_sec"],
                  cell["wall_s"], cell["sim_ns"]))
 
     tracer_factory = None
@@ -84,6 +95,10 @@ def main(argv=None):
             registry = MetricsRegistry()
 
         def cell_hook(cell, backend, tracer):
+            # Replay cells run untraced and end in their access cells'
+            # machine state: the access cells are the ones to observe.
+            if cell["engine"] != "access":
+                return
             label = "%s/%s" % (cell["workload"], cell["backend"])
             if trace_handle is not None:
                 write_jsonl(tracer.events(), trace_handle,
@@ -92,14 +107,9 @@ def main(argv=None):
                 registry.register_machine(backend, cell=label)
 
     try:
-        report = run_matrix(workloads=args.workloads.split(","),
-                            backends=args.backends.split(","),
-                            ops=args.ops, records=args.records,
-                            seed=args.seed, repeats=args.repeats,
-                            progress=progress,
+        report = run_matrix(progress=progress,
                             tracer_factory=tracer_factory,
-                            cell_hook=cell_hook,
-                            engines=args.engine.split(","))
+                            cell_hook=cell_hook, **matrix)
     finally:
         if trace_handle is not None:
             trace_handle.close()
@@ -112,23 +122,16 @@ def main(argv=None):
             handle.write(registry.to_prometheus())
         print("wrote %s" % args.metrics)
 
-    if args.compare:
-        grade = compare_report(report, load_report(args.compare),
-                               tolerance=args.tolerance)
-        compare_out = args.out
-        if compare_out.endswith(".json"):
-            compare_out = compare_out[:-len(".json")]
-        compare_out += ".compare.json"
-        with open(compare_out, "w") as handle:
-            json.dump(grade, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print("wrote %s" % compare_out)
-        if grade["problems"]:
-            for problem in grade["problems"]:
-                print("REGRESSION: %s" % problem, file=sys.stderr)
+    if baseline is not None:
+        problems = compare(report, baseline)
+        for problem in problems:
+            print("REGRESSION: %s" % problem, file=sys.stderr)
+        if problems:
             return 1
-        print("no regression vs %s (tolerance %d%%)"
-              % (args.compare, round(args.tolerance * 100)))
+        print("no regression vs %s: %d cells, simulated fields exact, "
+              "throughput within %d%%"
+              % (args.compare, len(report["results"]),
+                 round(TOLERANCE * 100)))
     return 0
 
 

@@ -11,8 +11,10 @@ must re-issue; everything below them is re-derived by the simulator
 during replay.
 
 Recording is only faithful for workloads replay can re-execute: no
-crash/restart, no pipelined persists, no store hooks. Those paths raise
-:class:`~repro.errors.TraceUnsupportedError` — fall back to the
+crash/restart, no pipelined persists, no store hooks, and a backend
+that declares itself ``recordable``
+(:attr:`~repro.baselines.base.KvBackend.recordable`). Anything else
+raises :class:`~repro.errors.TraceUnsupportedError` — fall back to the
 per-access path (see docs/performance.md).
 """
 
@@ -109,6 +111,10 @@ class TraceRecorder:
     """
 
     def __init__(self, backend):
+        if not backend.recordable:
+            raise TraceUnsupportedError(
+                "backend %r acts on its machine outside the recorded "
+                "seams; use the per-access path" % backend.name)
         self._backend = backend
         self._machine = backend.machine
         if getattr(self._machine, "store_hook", None) is not None:

@@ -250,7 +250,8 @@ class SuppressionIndex:
         return False
 
 
-#: Version of the ``--json`` payload; bumped on incompatible shape changes.
+#: Version of the ``--format json`` payload; bumped on incompatible shape
+#: changes.
 JSON_SCHEMA_VERSION = 1
 
 
@@ -459,13 +460,11 @@ def main(argv=None):
                         help="run only this checker id (repeatable)")
     parser.add_argument("--list-checkers", action="store_true",
                         help="print the checker catalogue and exit")
-    parser.add_argument("--json", action="store_true",
-                        help="emit findings as a schema-tagged JSON object "
-                             "on stdout (same as --format json)")
     parser.add_argument("--format", choices=("text", "json", "sarif"),
-                        default=None,
-                        help="output format (default text; sarif suits "
-                             "CI annotation upload)")
+                        default="text",
+                        help="output format: text (default), json (a "
+                             "schema-tagged object on stdout) or sarif "
+                             "(suits CI annotation upload)")
     parser.add_argument("--fix", action="store_true",
                         help="auto-insert persist gates for fixable "
                              "persist-order findings (rewrites files)")
@@ -567,9 +566,8 @@ def main(argv=None):
                       "unused slot(s)" % (stale_path, stale_rule, unused),
                       file=sys.stderr)
 
-    fmt = args.format or ("json" if args.json else "text")
-    rendered = render_findings(findings, fmt)
-    if rendered or fmt != "text":
+    rendered = render_findings(findings, args.format)
+    if rendered or args.format != "text":
         print(rendered)
     if dead and not findings:
         print("staticcheck: %d dead baseline entr%s" %

@@ -80,12 +80,8 @@ def expand_grid(spec):
 
 
 def variant_id(cell):
-    """One string naming a cell's full variant configuration.
-
-    Used as the ``mechanisms`` field of the perfbench-schema view
-    (:func:`repro.sweep.report.perfbench_view`) so every sweep cell maps
-    to a distinct perfbench cell key.
-    """
+    """One string naming a cell's full variant configuration; distinct
+    for every cell of one workload and backend."""
     return "%s|dev=%s|llc=%dKiB|policy=%s" % (
         cell["mechanisms"], cell["device_mechanisms"], cell["llc_kib"],
         cell["policy"])

@@ -5,21 +5,17 @@ Examples::
     python -m repro.sweep specs/full-grid.toml
     python -m repro.sweep specs/smoke-grid.toml --out smoke.json \\
         --markdown smoke.md
-    python -m repro.sweep specs/full-grid.toml --compare SWEEP_BASE.json
 
-Exit codes: 0 every cell replayed and every spot check passed (and the
-optional ``--compare`` found no drift); 1 a fingerprint spot check or
-baseline comparison failed; 2 the spec was rejected.
+Exit codes: 0 every cell replayed and every spot check passed; 1 a
+fingerprint spot check failed; 2 the spec was rejected.
 """
 
 import argparse
-import json
 import sys
 
 from repro.errors import ConfigError, ReproError
 from repro.sweep import SCHEMA, load_spec, run_sweep
-from repro.sweep.report import (compare_sweeps, load_report, to_markdown,
-                                write_report)
+from repro.sweep.report import to_markdown, write_report
 
 
 def build_parser():
@@ -33,9 +29,6 @@ def build_parser():
                         help="report path (default %(default)s)")
     parser.add_argument("--markdown", metavar="PATH",
                         help="also render the report as markdown tables")
-    parser.add_argument("--compare", metavar="BASELINE",
-                        help="grade this sweep against a baseline sweep "
-                             "report; exit 1 on sim_ns drift")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress per-cell progress lines")
     return parser
@@ -73,37 +66,12 @@ def main(argv=None):
     print("verification: %d checked, %d passed, %d failed"
           % (verification["checked"], verification["passed"],
              verification["failed"]))
-    status = 0
-    if verification["failed"]:
-        for failure in verification["failures"]:
-            print("FINGERPRINT MISMATCH: %s/%s %s (%d key(s))"
-                  % (failure["workload"], failure["backend"],
-                     failure["variant"], failure["mismatch_count"]),
-                  file=sys.stderr)
-        status = 1
-
-    if args.compare:
-        try:
-            baseline = load_report(args.compare)
-        except (ConfigError, OSError, ValueError) as exc:
-            print("sweep: bad baseline: %s" % exc, file=sys.stderr)
-            return 2
-        grade = compare_sweeps(report, baseline)
-        compare_out = args.out
-        if compare_out.endswith(".json"):
-            compare_out = compare_out[:-len(".json")]
-        compare_out += ".compare.json"
-        with open(compare_out, "w") as handle:
-            json.dump(grade, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print("wrote %s" % compare_out)
-        if grade["problems"]:
-            for problem in grade["problems"]:
-                print("DRIFT: %s" % problem, file=sys.stderr)
-            status = 1
-        else:
-            print("no drift vs %s" % args.compare)
-    return status
+    for failure in verification["failures"]:
+        print("FINGERPRINT MISMATCH: %s/%s %s (%d key(s))"
+              % (failure["workload"], failure["backend"],
+                 failure["variant"], failure["mismatch_count"]),
+              file=sys.stderr)
+    return 1 if verification["failed"] else 0
 
 
 if __name__ == "__main__":

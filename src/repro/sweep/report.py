@@ -1,24 +1,15 @@
 """Rendering and persistence for sweep reports (:mod:`repro.sweep`).
 
-Three consumers, three views of the same report dict:
+Two views of the same report dict:
 
-* :func:`write_report` / :func:`load_report` — the canonical JSON form.
-  Deterministic (sorted keys, no wall-clock content), so CI can demand
-  byte-identical reruns with ``cmp``.
+* :func:`write_report` — the canonical JSON form. Deterministic (sorted
+  keys, no wall-clock content), so drift against an earlier report of
+  the same spec is a byte comparison (``cmp``), which CI runs.
 * :func:`to_markdown` — human-readable grid tables, one per workload,
   for PR comments and CI artifacts.
-* :func:`perfbench_view` — the sweep reshaped into the perfbench report
-  schema so :func:`repro.perfbench.compare_report` can grade sweep runs
-  against committed sweep baselines with its exact ``sim_ns`` check.
-  Wall-clock fields are zeroed (a sweep never measures wall time), which
-  makes the throughput-tolerance half of the comparison inert while the
-  behaviour-drift half stays fully armed.
 """
 
 import json
-
-from repro import perfbench
-from repro.errors import ConfigError
 
 
 def write_report(report, path):
@@ -30,17 +21,6 @@ def write_report(report, path):
     with open(path, "w") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-def load_report(path):
-    """Load and schema-check a report written by :func:`write_report`."""
-    from repro.sweep import SCHEMA
-    with open(path) as handle:
-        report = json.load(handle)
-    if report.get("schema") != SCHEMA:
-        raise ConfigError("%s is not a %s report (schema=%r)"
-                          % (path, SCHEMA, report.get("schema")))
-    return report
 
 
 def _verified_glyph(flag):
@@ -104,51 +84,3 @@ def to_markdown(report):
                         if failure["mismatches"] else "?"))
     lines.append("")
     return "\n".join(lines)
-
-
-def perfbench_view(report):
-    """Reshape a sweep report into the perfbench report schema.
-
-    Each sweep cell becomes a perfbench cell whose ``mechanisms`` field
-    is the full :func:`repro.sweep.variant_id` string, so every grid
-    point keys distinctly under :func:`repro.perfbench.compare_report`.
-    """
-    spec = report["spec"]
-    results = []
-    for cell in report["cells"]:
-        results.append({
-            "workload": cell["workload"],
-            "backend": cell["backend"],
-            "engine": cell["engine"],
-            "mechanisms": cell["variant"],
-            "wall_s": 0.0,
-            "ops_per_sec": 0.0,
-            "sim_ns": cell["sim_ns_timed"],
-        })
-    return {
-        "schema": perfbench.SCHEMA,
-        "config": {
-            "ops": spec["ops"],
-            "records": spec["records"],
-            "seed": spec["seed"],
-            "repeats": 1,
-            "workloads": list(spec["workloads"]),
-            "backends": list(spec["backends"]),
-            "engines": ["replay"],
-            "mechanisms": "sweep",
-        },
-        "results": results,
-    }
-
-
-def compare_sweeps(current, baseline, tolerance=0.30):
-    """Grade ``current`` against a baseline sweep report.
-
-    Both arguments are sweep reports; the comparison itself is
-    :func:`repro.perfbench.compare_report` run over the perfbench views,
-    so the exact-``sim_ns`` drift check (and its problem strings) are
-    shared with the wall-clock harness rather than reimplemented.
-    """
-    return perfbench.compare_report(perfbench_view(current),
-                                    perfbench_view(baseline),
-                                    tolerance=tolerance)

@@ -253,6 +253,9 @@ def load_spec(path):
             raise ConfigError("%s: unknown backend %r (have %s)"
                               % (path, backend,
                                  ", ".join(sorted(known_backends))))
+        if not getattr(known_backends[backend], "recordable", True):
+            raise ConfigError("%s: backend %r cannot be recorded for "
+                              "replay" % (path, backend))
     for workload in spec["workloads"]:
         if workload not in KNOWN_WORKLOADS:
             raise ConfigError("%s: unknown workload %r (have %s)"

@@ -404,7 +404,7 @@ def test_cli_exit_codes(tmp_path, capsys):
 def test_cli_json_output(tmp_path, capsys):
     dirty = tmp_path / "dirty.py"
     dirty.write_text("def f():\n    raise ValueError('x')\n")
-    assert main(["--json", str(dirty)]) == 1
+    assert main(["--format", "json", str(dirty)]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["schema"] == 1
     assert len(payload["findings"]) == 1
@@ -415,7 +415,7 @@ def test_cli_json_output(tmp_path, capsys):
 
     clean = tmp_path / "clean.py"
     clean.write_text("def f(x=None):\n    return x\n")
-    assert main(["--json", str(clean)]) == 0
+    assert main(["--format", "json", str(clean)]) == 0
     assert json.loads(capsys.readouterr().out) == {"schema": 1,
                                                    "findings": []}
 

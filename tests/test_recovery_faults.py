@@ -259,13 +259,28 @@ def _skip_undo_rollback(monkeypatch):
     monkeypatch.setattr(UndoTxAccessor, "recover", recover_without_rollback)
 
 
+def _skip_redo_replay(monkeypatch):
+    """Redo recovery resets the WAL and the next transaction id, but
+    re-applies no committed entry."""
+    from repro.baselines.redo import RedoTxAccessor
+
+    def recover_without_replay(self):
+        committed = self._cells.committed_tx
+        self._wal.reset()
+        self._next_tx = committed + 1
+        return 0
+
+    monkeypatch.setattr(RedoTxAccessor, "recover", recover_without_replay)
+
+
 #: One no-op-rollback mutant per recovery family: target -> (mutant,
 #: fuzz seed).
 ROLLBACK_MUTANTS = {"pax": (_skip_pax_rollback, 7),
                     "mprotect": (_skip_mprotect_rollback, 7),
                     "pmdk": (_skip_undo_rollback, 42),
                     "compiler": (_skip_undo_rollback, 42),
-                    "autopass": (_skip_undo_rollback, 42)}
+                    "autopass": (_skip_undo_rollback, 42),
+                    "redo": (_skip_redo_replay, 7)}
 
 
 class TestFuzzSmoke:
@@ -294,7 +309,9 @@ class TestFuzzSmoke:
         # An undo-WAL target only shows it when the crash cuts a
         # transaction after one of its lines was written back: at 20
         # iterations seed 7 has no such crash for autopass and seed 42
-        # has one for each of pmdk, compiler and autopass.
+        # has one for each of pmdk, compiler and autopass. redo only
+        # shows it when the crash cuts a transaction after its commit was
+        # published, while the lines are applied in place.
         mutant, seed = ROLLBACK_MUTANTS[target]
         mutant(monkeypatch)
         stats = run_fuzz(iterations=20, seed=seed, progress=None,

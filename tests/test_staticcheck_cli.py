@@ -1,4 +1,4 @@
-"""The staticcheck CLI: the 0/1/2 exit-code contract, --json output,
+"""The staticcheck CLI: the 0/1/2 exit-code contract, JSON output,
 the baseline workflow, and — the acceptance criterion — that the real
 tree is clean under every checker against the committed baseline."""
 
@@ -64,7 +64,7 @@ def test_cli_list_checkers(capsys):
 
 def test_cli_json_findings(tmp_path, capsys):
     dirty = dirty_file(tmp_path)
-    assert main(["--json", "--no-baseline", str(dirty)]) == 1
+    assert main(["--format", "json", "--no-baseline", str(dirty)]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["schema"] == 1
     assert len(payload["findings"]) == 1
@@ -76,7 +76,7 @@ def test_cli_json_findings(tmp_path, capsys):
 
 def test_cli_json_empty_findings_when_clean(tmp_path, capsys):
     clean = clean_file(tmp_path)
-    assert main(["--json", "--no-baseline", str(clean)]) == 0
+    assert main(["--format", "json", "--no-baseline", str(clean)]) == 0
     assert json.loads(capsys.readouterr().out) == {"schema": 1,
                                                    "findings": []}
 
