@@ -12,7 +12,9 @@ first-touch, and 64x write amplification in the log (4 KiB per page vs
 96 B per line).
 """
 
+import functools
 import struct
+import weakref
 
 from repro.baselines.base import StructureBackend
 from repro.baselines.wal import DurableCells
@@ -114,7 +116,7 @@ class MprotectBackend(StructureBackend):
         self._log = PageLog(self._machine, self._layout)
         self._table = PageTable(0, self._layout.arena_limit)
         self._mem = FaultingAccessor(self._machine.mem(), self._table,
-                                     self._on_fault)
+                                     self._fault_handler())
         self._epoch = self._cells.committed_tx + 1
         root = self._cells.root
         if root == 0:
@@ -131,6 +133,16 @@ class MprotectBackend(StructureBackend):
             self._table.protect_all(PagePermission.READ)
 
     # -- fault handling -----------------------------------------------------------
+
+    def _fault_handler(self):
+        """``_on_fault`` for the accessor, run on a weak proxy of self.
+
+        The backend owns the accessor; a bound method in it would make
+        the backend, its machine and its PM a reference cycle. Only the
+        fault path (once per page per epoch) pays the proxy hops.
+        """
+        return functools.partial(type(self)._on_fault,
+                                 weakref.proxy(self))
 
     def _on_fault(self, page):
         """First store to ``page`` this epoch: trap, log pre-image, unprotect."""
@@ -172,7 +184,7 @@ class MprotectBackend(StructureBackend):
         self._epoch = committed + 1
         self._table = PageTable(0, self._layout.arena_limit)
         self._mem = FaultingAccessor(self._machine.mem(), self._table,
-                                     self._on_fault)
+                                     self._fault_handler())
         self._alloc = PmAllocator.attach(self._mem)
         self._reattach_structure(self._mem, self._alloc, self._cells.root)
         self._table.protect_all(PagePermission.READ)

@@ -40,6 +40,23 @@ from repro.util.fastpath import fast_path_enabled
 from repro.util.stats import StatGroup
 
 
+def _mech_capture(seq_for, buffered, capture):
+    """HBM eviction hook: drop clean victims into the side buffers.
+
+    Guarded like :meth:`PaxDevice._mech_fetch`: a victim whose line the
+    host has modified this epoch (``seq_for``, the undo logger's line ->
+    seq ``get``) or that the write-back buffer holds a newer copy of
+    (``buffered``, its ``get``) would go stale with no invalidation
+    message, so it is dropped instead of handed to ``capture``. The hook
+    holds those leaves, not the device, so the HBM cache holding it
+    puts no reference cycle through the device.
+    """
+    def on_evict(pool_addr, data):
+        if seq_for(pool_addr) is None and buffered(pool_addr) is None:
+            capture(pool_addr, data)
+    return on_evict
+
+
 class PaxDevice:
     """A persistence accelerator homing one pool's vPM range."""
 
@@ -59,12 +76,14 @@ class PaxDevice:
         self.mech = make_mechanisms(self.config.mechanisms,
                                     self.config.mechanism_policy,
                                     label_prefix="dev.mech")
+        self.writeback = WriteBackCoordinator(pool, self.hbm, self.undo,
+                                              self.config)
         if self.mech is not None:
             # HBM LRU victims fall into the side buffers instead of
             # vanishing (guarded: never capture a host-modified line).
-            self.hbm.on_evict = self._mech_capture
-        self.writeback = WriteBackCoordinator(pool, self.hbm, self.undo,
-                                              self.config)
+            self.hbm.on_evict = _mech_capture(
+                self.undo._logged.get, self.writeback._buffer.get,
+                self.mech.on_evict)
         from repro.core.pipeline import PersistPipeline
         self.pipeline = PersistPipeline(self)
         # background_tick fires on every clock advance while the device
@@ -97,16 +116,6 @@ class PaxDevice:
         self._c_pm_line_reads = stats.counter("pm_line_reads")
         self._c_mech_hits = stats.counter("mech_hits")
         self._c_mech_prefetch_reads = stats.counter("mech_prefetch_reads")
-        # Exact-type dispatch table: cheaper than an isinstance chain,
-        # and the message classes are final by design.
-        self._handlers = {
-            msg.RdShared: self._rd_shared,
-            msg.RdOwn: self._rd_own,
-            msg.DirtyEvict: self._dirty_evict,
-            msg.CleanEvict: self._clean_evict,
-            msg.MemRd: self._mem_rd,
-            msg.MemWr: self._mem_wr,
-        }
 
     # -- address translation ---------------------------------------------------
 
@@ -131,10 +140,10 @@ class PaxDevice:
 
     def handle_message(self, message):
         """Service one host request; returns ``(response, service_ns)``."""
-        handler = self._handlers.get(type(message))
+        handler = _HANDLERS.get(type(message))
         if handler is None:
             raise ProtocolError("PAX cannot handle %r" % (message,))
-        result = handler(message)
+        result = handler(self, message)
         if self._on_clock is False \
                 and (self.undo._pending or self.writeback._buffer):
             # Work for an idle device: back on the clock.
@@ -230,20 +239,6 @@ class PaxDevice:
         data = self.pool.device.read(pool_addr, CACHE_LINE_SIZE)
         self._c_mech_prefetch_reads.value += 1
         return data
-
-    def _mech_capture(self, pool_addr, data):
-        """HBM eviction hook: drop clean victims into the side buffers.
-
-        Guarded like :meth:`_mech_fetch`: a victim whose line the host
-        has modified this epoch (or that the write-back buffer holds a
-        newer copy of) would go stale with no invalidation message, so
-        it is dropped instead of captured.
-        """
-        if self._seq_for(pool_addr) is not None:
-            return
-        if self.writeback.peek(pool_addr) is not None:
-            return
-        self.mech.on_evict(pool_addr, data)
 
     def _rd_shared(self, message):
         pool_addr = self.to_pool(message.addr)
@@ -458,3 +453,17 @@ class PaxDevice:
     def __repr__(self):
         return "PaxDevice(epoch=%d, hbm=%d lines)" % (
             self.epochs.current_epoch, len(self.hbm))
+
+
+#: Exact-type message dispatch, built once from the plain handler
+#: functions (called as ``handler(self, message)``): cheaper than an
+#: isinstance chain, the message classes are final by design, and a
+#: table of bound methods on each device would be a reference cycle.
+_HANDLERS = {
+    msg.RdShared: PaxDevice._rd_shared,
+    msg.RdOwn: PaxDevice._rd_own,
+    msg.DirtyEvict: PaxDevice._dirty_evict,
+    msg.CleanEvict: PaxDevice._clean_evict,
+    msg.MemRd: PaxDevice._mem_rd,
+    msg.MemWr: PaxDevice._mem_wr,
+}

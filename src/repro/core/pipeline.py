@@ -31,6 +31,8 @@ Correctness argument (the subtle part):
   (:mod:`repro.core.recovery` handles multi-epoch logs).
 """
 
+import weakref
+
 from repro.errors import ProtocolError
 from repro.util.stats import StatGroup
 
@@ -86,7 +88,10 @@ class PersistPipeline:
     """Orders and retires in-flight epochs for one device."""
 
     def __init__(self, device):
-        self._device = device
+        # A weak proxy, as PaxDevice.attach_clock holds its clock: the
+        # device owns this pipeline, and a strong reference back would
+        # make every PAX machine a reference cycle.
+        self._device = weakref.proxy(device)
         self._flights = []
         self.stats = StatGroup("persist_pipeline")
 

@@ -121,7 +121,7 @@ class PmDevice(MemoryDevice):
             return
         tmp_path = self.backing_path + ".tmp"
         with open(tmp_path, "wb") as handle:
-            handle.write(bytes(self._data))
+            handle.write(self._data)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_path, self.backing_path)

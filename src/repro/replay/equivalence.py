@@ -127,8 +127,9 @@ def fingerprint(backend):
             for name, hist in obj.histograms().items():
                 out["%s:%s" % (path, name)] = hist.state()
         else:   # MemoryDevice: durable bytes + media wear
-            out["%s:sha256" % path] = hashlib.sha256(
-                bytes(obj._data)).hexdigest()
+            # Hashed in place: a bytes() copy of a whole device is a
+            # full-size allocation per fingerprint.
+            out["%s:sha256" % path] = hashlib.sha256(obj._data).hexdigest()
             wear = getattr(obj, "line_wear", None)
             if wear is not None:
                 out["%s:line_wear" % path] = tuple(sorted(wear.items()))

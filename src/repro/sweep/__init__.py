@@ -144,50 +144,64 @@ def _cell_counters(backend):
     return out
 
 
+def _run_cell(spec, cell, spot_checked):
+    """Replay one cell (and spot-check it); returns ``(row, failure)``.
+
+    ``failure`` is the verification failure entry, or None. Every
+    backend this builds dies with its locals on return, so a sweep holds
+    one cell's machines at a time.
+    """
+    trace, _default_sim = record_cell_trace(
+        cell["workload"], cell["backend"], spec["ops"], spec["records"],
+        spec["seed"])
+    backend = build_cell_backend(spec, cell)
+    outcome = replay_trace(trace, backend)
+    row = dict(cell)
+    row["variant"] = variant_id(cell)
+    row["engine"] = "generic"
+    row["sim_ns"] = outcome.sim_ns
+    row["sim_ns_timed"] = outcome.sim_ns_timed
+    row["counters"] = _cell_counters(backend)
+    row["verified"] = None
+    if not spot_checked:
+        return row, None
+    golden = build_cell_backend(spec, cell)
+    _drive_access(spec, cell, golden)
+    mismatches = diff(fingerprint(golden), fingerprint(backend))
+    row["verified"] = not mismatches
+    if not mismatches:
+        return row, None
+    return row, {
+        "workload": cell["workload"],
+        "backend": cell["backend"],
+        "variant": row["variant"],
+        "mismatches": [
+            {"key": key, "access": repr(a), "replay": repr(b)}
+            for key, a, b in mismatches[:8]],
+        "mismatch_count": len(mismatches),
+    }
+
+
 def run_sweep(spec, progress=None):
     """Run the whole grid; returns the report dict (schema :data:`SCHEMA`).
 
-    ``progress``, when given, is called with each finished cell dict.
-    The report is fully deterministic for a fixed spec — no wall-clock
-    quantity ever enters it — and carries a ``verification`` section
-    summarizing the fingerprint spot checks; ``verification["failed"]``
-    must be zero for the sweep to count as reproduced.
+    ``progress``, when given, is called with each finished cell dict;
+    by then that cell's backends are gone. The report is fully
+    deterministic for a fixed spec — no wall-clock quantity ever enters
+    it — and carries a ``verification`` section summarizing the
+    fingerprint spot checks; ``verification["failed"]`` must be zero for
+    the sweep to count as reproduced.
     """
     cells = expand_grid(spec)
-    ops, records, seed = spec["ops"], spec["records"], spec["seed"]
     spot_indices = _select_spot_checks(spec, len(cells))
     results = []
     failures = []
     recorded = set()
     for index, cell in enumerate(cells):
-        trace, _default_sim = record_cell_trace(
-            cell["workload"], cell["backend"], ops, records, seed)
+        row, failure = _run_cell(spec, cell, index in spot_indices)
         recorded.add((cell["workload"], cell["backend"]))
-        backend = build_cell_backend(spec, cell)
-        outcome = replay_trace(trace, backend)
-        row = dict(cell)
-        row["variant"] = variant_id(cell)
-        row["engine"] = "generic"
-        row["sim_ns"] = outcome.sim_ns
-        row["sim_ns_timed"] = outcome.sim_ns_timed
-        row["counters"] = _cell_counters(backend)
-        if index in spot_indices:
-            golden = build_cell_backend(spec, cell)
-            _drive_access(spec, cell, golden)
-            mismatches = diff(fingerprint(golden), fingerprint(backend))
-            row["verified"] = not mismatches
-            if mismatches:
-                failures.append({
-                    "workload": cell["workload"],
-                    "backend": cell["backend"],
-                    "variant": row["variant"],
-                    "mismatches": [
-                        {"key": key, "access": repr(a), "replay": repr(b)}
-                        for key, a, b in mismatches[:8]],
-                    "mismatch_count": len(mismatches),
-                })
-        else:
-            row["verified"] = None
+        if failure is not None:
+            failures.append(failure)
         results.append(row)
         if progress is not None:
             progress(row)

@@ -1,6 +1,8 @@
 """The experiment-matrix harness: specs, grids, determinism, reports."""
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -239,6 +241,37 @@ class TestRunSweep:
         again = run_sweep(spec)
         flags = [cell["verified"] for cell in report["cells"]]
         assert flags == [cell["verified"] for cell in again["cells"]]
+
+    def test_each_cell_is_freed_before_the_next(self, tmp_path,
+                                                monkeypatch):
+        # With the collector off, a backend outlives its cell only if
+        # the sweep still holds it or it sits in a reference cycle.
+        import repro.sweep as sweep
+        spec = load_spec(write_spec(tmp_path, tiny_body(
+            backends=["pax", "pmdk"],
+            device_mechanisms=["none", "stream:4x4"], hbm_lines=64)))
+        built = []
+
+        def build_and_watch(spec_, cell):
+            backend = build_cell_backend(spec_, cell)
+            built.append(weakref.ref(backend))
+            return backend
+
+        alive_at_progress = []
+        monkeypatch.setattr(sweep, "build_cell_backend", build_and_watch)
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            report = run_sweep(spec, progress=lambda row: alive_at_progress
+                               .append(sum(ref() is not None
+                                           for ref in built)))
+        finally:
+            if enabled:
+                gc.enable()
+        cells = len(report["cells"])
+        assert cells == 6 and len(built) == 2 * cells
+        assert alive_at_progress == [0] * cells
 
 
 class TestReporting:
