@@ -32,8 +32,12 @@ class FaultyPmDevice(PmDevice):
 
     def write(self, offset, data):
         data = bytes(data)
+        if offset < 0 or offset + len(data) > self.size:
+            # Refused before it is journalled: a tear must only ever
+            # restore a write that reached the medium.
+            self._check_range(offset, len(data))
         if data:
-            old = bytes(self._data[offset:offset + len(data)])
+            old = self._data[offset:offset + len(data)]
             # A write that changes nothing (e.g. the log's tail poison
             # over already-zero bytes) cannot tear observably; journal
             # only writes whose interruption the medium could witness.

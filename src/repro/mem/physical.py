@@ -6,13 +6,31 @@ volatile storage that forgets everything on a crash. The persistent-memory
 device lives in :mod:`repro.pm.device` and layers durability semantics on
 top of the same interface.
 
-Devices store bytes in a ``bytearray``; address arithmetic is always done
-relative to the device's own base so devices can be placed anywhere in the
-system map (:mod:`repro.mem.address_space`).
+Devices store bytes in an anonymous private mapping (:func:`zero_mapping`):
+it reads as zeros, and a page costs resident memory only once something
+is written to it, so a run holds the bytes it touches rather than the
+whole medium. Address arithmetic is always done relative to the device's
+own base so devices can be placed anywhere in the system map
+(:mod:`repro.mem.address_space`).
 """
+
+import mmap
 
 from repro.errors import AddressError, ConfigError
 from repro.util.stats import StatGroup
+
+
+def zero_mapping(size):
+    """``size`` zero bytes as an anonymous private mapping.
+
+    Slices read as ``bytes`` and same-length slice writes land in place,
+    as on a ``bytearray``. Unwritten pages all map the kernel's zero
+    page, so reading them (a fingerprint's full hash, a file sync) adds
+    no resident memory either. ``MAP_PRIVATE`` matters: under mmap's
+    ``MAP_SHARED`` default each page read would fault in a shared
+    memory page of its own.
+    """
+    return mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
 
 
 class MemoryDevice:
@@ -26,7 +44,7 @@ class MemoryDevice:
             raise ConfigError("device %s must have positive size" % name)
         self.name = name
         self.size = size
-        self._data = bytearray(size)
+        self._data = zero_mapping(size)
         self.stats = StatGroup(name)
         # Per-access counters bound once (hot-path-stat-lookup rule).
         self._c_reads = self.stats.counter("reads")
@@ -50,7 +68,7 @@ class MemoryDevice:
             self._check_range(offset, length)
         self._c_reads.value += 1
         self._c_bytes_read.value += length
-        return bytes(self._data[offset:offset + length])
+        return self._data[offset:offset + length]
 
     def write(self, offset, data):
         """Store ``data`` at device-relative ``offset``."""
@@ -81,5 +99,5 @@ class DramDevice(MemoryDevice):
 
     def on_crash(self):
         """Power loss: volatile contents are gone."""
-        self._data = bytearray(self.size)
+        self._data = zero_mapping(self.size)
         self.stats.counter("crash_wipes").add(1)

@@ -29,6 +29,8 @@ hook methods return after one attribute check of their own; the
 ``python -m repro.obs overhead`` harness measures both regimes.
 """
 
+import weakref
+
 from repro.errors import ConfigError
 from repro.sanitizer.base import Tracer
 
@@ -124,13 +126,15 @@ class ObsTracer(Tracer):
         ``clock``), a backend (has ``machine``), or a ``PaxPool``. The
         richest attach hook the target offers is used, so backend-side
         components (FlushModel, Wal) are wired too where they exist.
+        The target holds the tracer, so the tracer holds a weak proxy of
+        its clock: a dropped target frees without a collection.
         """
         machine = target
         for hop in ("pool", "machine"):
             inner = getattr(machine, hop, None)
             if inner is not None and hasattr(inner, "attach_tracer"):
                 machine = inner
-        self._clock = machine.clock
+        self._clock = weakref.proxy(machine.clock)
         attach = getattr(target, "attach_tracer", None)
         if attach is not None:
             attach(self)

@@ -8,9 +8,9 @@ consequently :meth:`on_crash` here preserves contents.
 
 The device can be backed by a real file so pools survive the hosting
 Python process. Writes are buffered in memory and flushed to the file by
-:meth:`sync`; this is an artifact of simulation (the byte array *is* the
-durable medium for crash-injection purposes) and is documented in
-DESIGN.md.
+:meth:`sync`; this is an artifact of simulation (the in-memory mapping
+*is* the durable medium for crash-injection purposes) and is documented
+in DESIGN.md.
 """
 
 import collections
@@ -50,13 +50,17 @@ class PmDevice(MemoryDevice):
 
     def write(self, offset, data):
         data = bytes(data)
+        size = len(data)
+        # MemoryDevice.write inlined (no super() hop): a refused write
+        # raises before the tracer, the wear tally or the medium sees it.
+        if offset < 0 or offset + size > self.size:
+            self._check_range(offset, size)
         if self.tracer is not None:
-            self.tracer.on_pm_write(offset, len(data))
+            self.tracer.on_pm_write(offset, size)
         # Account media write amplification in cache-line units: the DIMM
         # internally writes whole lines (Optane actually uses 256 B blocks;
         # we use the coherence granularity, which is what the paper's
         # write-amplification argument is phrased in).
-        size = len(data)
         if size:
             if self._fast:
                 # Arithmetic line walk: same lines as lines_covering()
@@ -77,9 +81,6 @@ class PmDevice(MemoryDevice):
                 self._c_lines_written.value += len(touched)
                 for line in touched:
                     self.line_wear[line] += 1
-        # MemoryDevice.write inlined (no super() hop), in its order.
-        if offset < 0 or offset + size > self.size:
-            self._check_range(offset, size)
         self._c_writes.value += 1
         self._c_bytes_written.value += size
         self._data[offset:offset + size] = data

@@ -79,7 +79,8 @@ class Trace:
 
     Event ``i`` is the top-level call ``seams[i](*args[i])``: the seam's
     name (a :data:`SEAMS` key, or ``"mark"``) and the argument tuple it
-    received. Two parallel lists keep one tuple per event.
+    received. Two parallel lists keep one tuple per event; equal calls
+    share one tuple object.
     """
 
     __slots__ = ("seams", "args", "footer")
@@ -125,6 +126,9 @@ class TraceRecorder:
                 "multi-core schedules are not yet recordable")
         self._seams = []
         self._args = []
+        # Equal argument tuples map to the first one logged, so a call
+        # the workload repeats costs one list slot, not one more tuple.
+        self._shared_args = {}
         self._depth = 0
         self._patched = []   # (obj, attr_name) in attach order
         self._attached = False
@@ -152,9 +156,11 @@ class TraceRecorder:
         """``orig`` logging each top-level call as ``(seam, args)``.
 
         The argument at ``data_at`` is copied to ``bytes``, since a
-        caller may reuse its buffer after the call.
+        caller may reuse its buffer after the call. Equal calls share
+        one logged tuple.
         """
         seams, arg_log = self._seams, self._args
+        share = self._shared_args.setdefault
 
         def shim(*args):
             if self._depth:
@@ -163,7 +169,7 @@ class TraceRecorder:
                 args = (args[:data_at] + (bytes(args[data_at]),)
                         + args[data_at + 1:])
             seams.append(seam)
-            arg_log.append(args)
+            arg_log.append(share(args, args))
             self._depth = 1
             try:
                 return orig(*args)

@@ -30,6 +30,8 @@ stores are tagged with their undo record's epoch, so a line superseded
 by a later epoch does not false-positive the earlier commit.
 """
 
+import weakref
+
 from repro.sanitizer.base import (
     RULE_MISSING_UNDO,
     RULE_PREMATURE_COMMIT,
@@ -60,8 +62,10 @@ class PaxSanitizer(SanitizerBase):
         ``machine`` must be a :class:`~repro.libpax.machine.PaxMachine`
         (the device geometry is read from it). Attach right after the
         machine/pool is built, before the workload's first store.
+        The machine holds the sanitizer, so the sanitizer holds a weak
+        proxy back: a dropped machine frees without a collection.
         """
-        self._machine = machine
+        self._machine = weakref.proxy(machine)
         self._vpm_base = machine.device.vpm_base
         self._data_base = machine.pool.data_base
         self._data_end = machine.pool.data_end

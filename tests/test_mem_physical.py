@@ -1,9 +1,13 @@
 """Memory devices: bounds, crash semantics, accounting."""
 
+import hashlib
+
 import pytest
 
 from repro.errors import AddressError, ConfigError
+from repro.faults import FaultyPmDevice
 from repro.mem.physical import DramDevice, MemoryDevice
+from repro.pm.device import PmDevice
 
 
 class TestMemoryDevice:
@@ -15,6 +19,27 @@ class TestMemoryDevice:
     def test_zero_initialized(self):
         device = MemoryDevice("m", 64)
         assert device.read(0, 64) == bytes(64)
+
+    def test_fresh_medium_reads_and_hashes_as_zeros(self):
+        size = 1 << 20
+        device = MemoryDevice("m", size)
+        data = device.read(0, size)
+        assert type(data) is bytes
+        assert data == bytes(size)
+        # fingerprint hashes the medium in place.
+        assert (hashlib.sha256(device._data).digest()
+                == hashlib.sha256(bytes(size)).digest())
+
+    @pytest.mark.parametrize("make", [MemoryDevice, PmDevice, FaultyPmDevice])
+    def test_refused_write_touches_nothing(self, make):
+        device = make("m", 64)
+        for offset in (60, -4):
+            with pytest.raises(AddressError):
+                device.write(offset, b"abcdefgh")
+        assert device.read(0, 64) == bytes(64)
+        assert device.stats.get("writes") == 0
+        assert not getattr(device, "line_wear", None)
+        assert getattr(device, "last_write", None) is None
 
     def test_out_of_range_read(self):
         device = MemoryDevice("m", 64)

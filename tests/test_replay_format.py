@@ -2,7 +2,8 @@
 
 from repro.libpax.machine import HEAP_PHYS_BASE
 from repro.perfbench import build_backend
-from repro.replay import MARK_TIMED, record
+from repro.replay import MARK_TIMED, record, replay_trace
+from repro.replay.equivalence import fingerprint
 from repro.sim.rng import DeterministicRng
 
 
@@ -61,3 +62,40 @@ class TestArguments:
         ]
         for args in trace.args:
             assert all(type(arg) is not bytearray for arg in args)
+
+
+class TestSharing:
+    def test_equal_calls_share_one_argument_tuple(self):
+        # A repeated call costs one list slot, not one more tuple; a
+        # reused bytearray payload is copied to bytes before it is
+        # shared, so a later mutation neither leaks in nor merges two
+        # different payloads.
+        backend = build_backend("pmdk")
+        line = HEAP_PHYS_BASE + (1 << 20)
+        buf = bytearray(b"\x11" * 8)
+
+        def drive(live, _recorder):
+            hierarchy = live.machine.hierarchy
+            hierarchy.load(0, line, 8)
+            hierarchy.store(0, line, buf)
+            hierarchy.load(0, line, 8)
+            hierarchy.load(0, line + 64, 8)
+            buf[:] = b"\x22" * 8
+            hierarchy.store(0, line, buf)
+            buf[:] = b"\x11" * 8
+            hierarchy.store(0, line, buf)
+
+        trace = record(backend, drive)
+        args = trace.args
+        assert trace.seams == ["load", "store", "load", "load", "store",
+                               "store"]
+        assert args[0] is args[2]
+        assert args[1] is args[5]
+        assert args[1] == (0, line, b"\x11" * 8)
+        assert type(args[1][2]) is bytes
+        assert args[4] == (0, line, b"\x22" * 8)
+        assert len({id(event) for event in args}) == 4
+
+        replayed = build_backend("pmdk")
+        replay_trace(trace, replayed)
+        assert fingerprint(replayed) == fingerprint(backend)

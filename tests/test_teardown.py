@@ -10,7 +10,9 @@ finished cell, 8 MiB of PM included, alive until the collector ran.
 Each case runs with the collector disabled, drives puts, gets and
 persist, crashes and restarts where the backend declares a durability
 contract, records and replays where it is recordable, drops the backend
-and checks the weak references died.
+and checks the weak references died. Observers are leaves too: the
+machine holds its sanitizer or tracer, which holds only a weak proxy
+back (PaxSan its machine, ``ObsTracer`` its clock).
 """
 
 import gc
@@ -22,7 +24,9 @@ from repro.baselines import make_backend
 from repro.baselines.pax import backend_classes
 from repro.core.config import PaxConfig
 from repro.faults import FaultyPmDevice, LinkFaultSpec
+from repro.obs import ObsTracer
 from repro.replay import record, replay_trace
+from repro.sanitizer import PaxSanitizer, WalSanitizer
 from tests.conftest import small_cache_kwargs
 
 POOL = 1024 * 1024
@@ -54,6 +58,18 @@ CASES = [(name, name, lambda name=name: _kwargs(name))
     ("pax-lossy", "pax", lambda: _kwargs(
         "pax", link_faults=LinkFaultSpec(drop_rate=0.05, seed=3),
         pm_device=FaultyPmDevice("pm0", POOL))),
+]
+
+
+#: (case id, backend name, attach an observer to the backend).
+OBSERVED = [
+    ("pax-paxsan", "pax",
+     lambda backend: PaxSanitizer().attach(backend.machine)),
+    ("hybrid-paxsan", "hybrid",
+     lambda backend: PaxSanitizer().attach(backend.machine)),
+    ("pax-obstracer", "pax", lambda backend: ObsTracer().attach(backend)),
+    ("pmdk-walsan", "pmdk", lambda backend: WalSanitizer().attach(backend)),
+    ("pmdk-obstracer", "pmdk", lambda backend: ObsTracer().attach(backend)),
 ]
 
 
@@ -115,5 +131,30 @@ def test_dropped_backend_frees_without_a_collection(case, no_gc):
         backend.persist()
     refs += _graph(backend)
     del backend
+    _assert_dead(refs)
+
+
+@pytest.mark.parametrize("case", OBSERVED, ids=[case[0] for case in OBSERVED])
+def test_observed_backend_frees_without_a_collection(case, no_gc):
+    _case_id, name, attach = case
+    backend = make_backend(name, **_kwargs(name))
+    observer = attach(backend)
+    _drive(backend)
+    backend.persist()
+    refs = _graph(backend)
+    backend.machine.crash()
+    backend.restart()
+    backend.persist()
+    refs += _graph(backend)
+    del backend
+    _assert_dead(refs)
+    # The observer outlives its machine and keeps what it gathered.
+    if isinstance(observer, ObsTracer):
+        assert observer.events()
+    else:
+        assert observer.ok
+
+
+def _assert_dead(refs):
     alive = [ref() for ref in refs if ref() is not None]
     assert not alive, "still alive after del: %r" % (alive,)
