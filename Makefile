@@ -89,7 +89,10 @@ chaos-smoke:
 # per-access engine. Both targets exit nonzero on any fingerprint
 # mismatch. `sweep` reproduces the full paper grid into SWEEP.json;
 # `sweep-smoke` is the reduced deterministic CI grid, whose report is
-# byte-identical across same-seed reruns.
+# byte-identical across same-seed reruns and must equal the committed
+# golden specs/smoke-grid.golden.json: a simulated nanosecond moved
+# anywhere in its 18 cells fails the `cmp`. Re-record the golden only
+# on purpose, as docs/experiments.md says.
 sweep:
 	PYTHONPATH=src $(PYTHON) -m repro.sweep specs/full-grid.toml \
 		--out SWEEP.json --markdown SWEEP.md
@@ -97,6 +100,7 @@ sweep:
 sweep-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.sweep specs/smoke-grid.toml \
 		--out sweep-smoke.json --markdown sweep-smoke.md
+	cmp sweep-smoke.json specs/smoke-grid.golden.json
 
 examples:
 	@for script in examples/*.py; do \

@@ -15,6 +15,7 @@ first-touch, and 64x write amplification in the log (4 KiB per page vs
 import functools
 import struct
 import weakref
+from zlib import crc32
 
 from repro.baselines.base import StructureBackend
 from repro.baselines.wal import DurableCells
@@ -24,7 +25,6 @@ from repro.libpax.machine import HEAP_PHYS_BASE, HostMachine
 from repro.mem.page_table import FaultingAccessor, PagePermission, PageTable
 from repro.pm.flush import FlushModel
 from repro.util.bitops import align_down
-from repro.util.checksum import crc32c
 from repro.util.constants import CACHE_LINE_SIZE, PAGE_SIZE
 from repro.util.stats import StatGroup
 
@@ -63,7 +63,7 @@ class PageLog:
         if self.write_offset + PAGE_ENTRY_SIZE > self._layout.log_size:
             raise LogError("page log full; persist() more often")
         header = _HEADER.pack(PAGE_ENTRY_MAGIC, 0, epoch, page_addr,
-                              crc32c(old_page))
+                              crc32(old_page))
         base = HEAP_PHYS_BASE + self._layout.log_base + self.write_offset
         self._space.write(base, header.ljust(PAGE_ENTRY_HEADER, b"\x00"))
         self._space.write(base + PAGE_ENTRY_HEADER, old_page)
@@ -81,7 +81,7 @@ class PageLog:
             if magic != PAGE_ENTRY_MAGIC:
                 return
             page = self._space.read(base + PAGE_ENTRY_HEADER, PAGE_SIZE)
-            if crc32c(page) != crc:
+            if crc32(page) != crc:
                 return
             yield epoch, addr, page
             offset += PAGE_ENTRY_SIZE

@@ -68,8 +68,12 @@ class PaxDevice:
         self.vpm_base = vpm_base if vpm_base is not None else pool.data_base
         self.region = UndoLogRegion(pool.device, pool.log_base, pool.log_size)
         self.epochs = EpochManager(pool, self.region)
+        # The logger and the coordinator count an idle device back in
+        # where work arrives; like the pipeline, they hold it through a
+        # weak proxy (the device owns them).
+        proxy = weakref.proxy(self)
         self.undo = UndoLogger(self.region, self.config,
-                               self.epochs.current_epoch)
+                               self.epochs.current_epoch, device=proxy)
         self.hbm = HbmCache(self.config.hbm_lines)
         #: Miss-path mechanism stack between the HBM cache and PM media
         #: (None = pre-zoo read path). See :mod:`repro.cache.mechanisms`.
@@ -77,7 +81,7 @@ class PaxDevice:
                                     self.config.mechanism_policy,
                                     label_prefix="dev.mech")
         self.writeback = WriteBackCoordinator(pool, self.hbm, self.undo,
-                                              self.config)
+                                              self.config, device=proxy)
         if self.mech is not None:
             # HBM LRU victims fall into the side buffers instead of
             # vanishing (guarded: never capture a host-modified line).
@@ -143,13 +147,7 @@ class PaxDevice:
         handler = _HANDLERS.get(type(message))
         if handler is None:
             raise ProtocolError("PAX cannot handle %r" % (message,))
-        result = handler(self, message)
-        if self._on_clock is False \
-                and (self.undo._pending or self.writeback._buffer):
-            # Work for an idle device: back on the clock.
-            self._on_clock = True
-            self._clock.busy += 1
-        return result
+        return handler(self, message)
 
     def _clean_evict(self, message):
         self._c_clean_evicts.value += 1
@@ -335,12 +333,6 @@ class PaxDevice:
                 if fresh is not None:
                     seq = self._seq_for(pool_addr)
                     self.writeback.buffer_line(pool_addr, fresh, seq)
-                    if self._on_clock is False:
-                        # wake(), inline: between two snoops the device
-                        # can drain the line and go idle again, once per
-                        # line.
-                        self._on_clock = True
-                        self._clock.busy += 1
         # 2+3. Make every undo record durable, then write all buffered
         # lines to PM (flush_all enforces that order internally).
         pumped_bytes, lines_written = self.writeback.flush_all()
@@ -387,11 +379,13 @@ class PaxDevice:
     def wake(self):
         """Work arrived: count an idle device back in on its clock.
 
-        :class:`~repro.core.pipeline.PersistPipeline` calls this where
-        its snoops buffer a line and where it starts an epoch;
-        :meth:`handle_message` and :meth:`persist`, where the device can
-        go idle and come back once per message or snoop, do the same
-        inline.
+        Work is counted in where it is created, and only while the
+        device idles. :class:`~repro.core.pipeline.PersistPipeline`
+        calls this for a new flight; the
+        :class:`~repro.core.undo.UndoLogger` (a new record) and the
+        :class:`~repro.core.writeback.WriteBackCoordinator` (a newly
+        buffered line) do the same inline, since a device that drains
+        in between comes back once per record or line.
         """
         if self._on_clock is False:
             self._on_clock = True

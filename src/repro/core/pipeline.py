@@ -121,8 +121,6 @@ class PersistPipeline:
                 clock.advance(link_ns)
             if fresh is not None:
                 device.writeback.buffer_line(pool_addr, fresh, seq)
-                if device._on_clock is False:
-                    device.wake()
         flight = InFlightEpoch(device.epochs.current_epoch, max_seq, touched)
         self._flights.append(flight)
         device.wake()

@@ -32,9 +32,13 @@ class _PendingRecord:
 class UndoLogger:
     """Volatile pending tail + durable PM log region."""
 
-    def __init__(self, region, config, start_epoch):
+    def __init__(self, region, config, start_epoch, device=None):
         self._region = region
         self._config = config
+        #: The PaxDevice draining this log, as a ``weakref.proxy`` (it
+        #: owns the logger), counted back in on its clock when a record
+        #: arrives while it idles; None for a standalone logger.
+        self._device = device
         self.current_epoch = start_epoch
         self._pending = deque()
         self._next_seq = 1
@@ -77,6 +81,12 @@ class UndoLogger:
             _PendingRecord(seq, self.current_epoch, pool_addr, bytes(old_data)))
         self._logged[pool_addr] = seq
         self._c_records.value += 1
+        device = self._device
+        if device is not None and device._on_clock is False:
+            # PaxDevice.wake(), inline: a device that drains between
+            # two records idles and comes back once per record.
+            device._on_clock = True
+            device._clock.busy += 1
         if self.tracer is not None:
             self.tracer.on_log_record(pool_addr, seq, self.current_epoch)
         return seq

@@ -31,11 +31,15 @@ class _BufferedLine:
 class WriteBackCoordinator:
     """Bounded buffer of modified lines, drained to PM under the log gate."""
 
-    def __init__(self, pool, hbm, undo, config):
+    def __init__(self, pool, hbm, undo, config, device=None):
         self._pool = pool
         self._hbm = hbm
         self._undo = undo
         self._config = config
+        #: The PaxDevice writing these lines back, as a ``weakref.proxy``
+        #: (it owns the coordinator), counted back in on its clock when a
+        #: line arrives while it idles; None for a standalone coordinator.
+        self._device = device
         self._buffer = OrderedDict()     # pool_addr -> _BufferedLine (FIFO)
         self._drain_credit = 0.0
         self.stats = StatGroup("writeback")
@@ -78,6 +82,14 @@ class WriteBackCoordinator:
             pumped += self._evict_one()
         self._buffer[pool_addr] = _BufferedLine(data, seq)
         self._c_insertions.value += 1
+        # An update above finds the device busy already: it leaves the
+        # clock only with an empty buffer.
+        device = self._device
+        if device is not None and device._on_clock is False:
+            # PaxDevice.wake(), inline: a device that drains between
+            # two lines idles and comes back once per line.
+            device._on_clock = True
+            device._clock.busy += 1
         return pumped
 
     # -- eviction under the durability gate ---------------------------------------

@@ -15,7 +15,7 @@ offset    size  field
 ``8``     8     epoch number
 ``16``    8     pool-relative address of the target line (line-aligned)
 ``24``    64    old line contents
-``88``    4     CRC-32C over bytes [0, 88)
+``88``    4     CRC-32 (``zlib.crc32``) over bytes [0, 88)
 ``92``    4     reserved
 ========  ====  =========================================================
 
@@ -33,9 +33,9 @@ mistaken for live ones.
 """
 
 import struct
+from zlib import crc32
 
 from repro.errors import LogError
-from repro.util.checksum import crc32c
 from repro.util.constants import CACHE_LINE_SIZE
 from repro.util.stats import StatGroup
 
@@ -50,17 +50,6 @@ _TAIL = bytes(ENTRY_SIZE - _CRC_OFFSET - _CRC.size)
 POISON = bytes(_PREFIX.size)
 _U64_LIMIT = 1 << 64
 _LINE_MASK = CACHE_LINE_SIZE - 1
-
-#: Entries :func:`encode_entry` keeps before it empties its memo. Sized
-#: from ``specs/full-grid.toml``: its 80 cells encode 19,025 distinct
-#: entries in all.
-ENCODE_MEMO_CAP = 1 << 15
-
-# (epoch, addr, payload) -> encoded entry. Encoding is a pure function,
-# and record-once/replay-many sweeps encode the same entries in every
-# cell that replays a trace. No lock: logical threads run one at a time,
-# and a lost insert or an extra clear only costs a recomputation.
-_ENCODED = {}
 
 
 class UndoEntry:
@@ -79,19 +68,10 @@ class UndoEntry:
             self.epoch, self.addr, self.offset)
 
 
-def _pack_entry(epoch, addr, data):
-    """The entry for already-validated fields, computed afresh."""
-    body = (_PREFIX.pack(ENTRY_MAGIC, len(data), 0, epoch, addr)
-            + data.ljust(CACHE_LINE_SIZE, b"\x00"))
-    return body + _CRC.pack(crc32c(body)) + _TAIL
-
-
 def encode_entry(epoch, addr, data):
     """Serialize one entry; ``data`` is the old line contents (<= 64 B).
 
-    ``epoch`` and ``addr`` must be integers in ``0..2**64-1``. Results
-    are memoized (up to :data:`ENCODE_MEMO_CAP` entries); the arguments
-    are validated on every call, before the memo is consulted.
+    ``epoch`` and ``addr`` must be integers in ``0..2**64-1``.
     """
     data = bytes(data)
     if not 1 <= len(data) <= CACHE_LINE_SIZE:
@@ -102,14 +82,9 @@ def encode_entry(epoch, addr, data):
         raise LogError("undo entry address must be a u64, got %r" % (addr,))
     if addr & _LINE_MASK:
         raise LogError("undo entries target line-aligned addresses")
-    key = (epoch, addr, data)
-    blob = _ENCODED.get(key)
-    if blob is None:
-        blob = _pack_entry(epoch, addr, data)
-        if len(_ENCODED) >= ENCODE_MEMO_CAP:
-            _ENCODED.clear()
-        _ENCODED[key] = blob
-    return blob
+    body = (_PREFIX.pack(ENTRY_MAGIC, len(data), 0, epoch, addr)
+            + data.ljust(CACHE_LINE_SIZE, b"\x00"))
+    return body + _CRC.pack(crc32(body)) + _TAIL
 
 
 #: Per-slot verdicts from :func:`classify_entry`.
@@ -137,7 +112,7 @@ def classify_entry(blob, offset=0):
     if magic != ENTRY_MAGIC or not 1 <= length <= CACHE_LINE_SIZE:
         return SLOT_INVALID, None
     (stored_crc,) = _CRC.unpack_from(blob, _CRC_OFFSET)
-    if stored_crc != crc32c(blob[:_CRC_OFFSET]):
+    if stored_crc != crc32(blob[:_CRC_OFFSET]):
         return SLOT_INVALID, None
     data = bytes(blob[_PREFIX.size:_PREFIX.size + length])
     return SLOT_VALID, UndoEntry(epoch, addr, data, offset)

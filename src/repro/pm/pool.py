@@ -28,17 +28,20 @@ remapped at any physical/virtual base across restarts.
 """
 
 import struct
+from zlib import crc32
 
 from repro.errors import PoolError
 from repro.util.bitops import is_aligned
-from repro.util.checksum import crc32c
 from repro.util.constants import CACHE_LINE_SIZE, PAGE_SIZE
 
 #: "PAXPOOL\0" little-endian.
 POOL_MAGIC = 0x004C4F4F50584150
 #: Version 2 replaced the single u64 epoch cell with the dual-slot
-#: CRC-protected epoch record (torn-commit hardening).
-POOL_VERSION = 2
+#: CRC-protected epoch record (torn-commit hardening); version 3 seals
+#: the header, the epoch slots and the undo log with CRC-32 (``zlib``)
+#: instead of CRC-32C, so an older pool is refused by version, not
+#: misread as a checksum mismatch.
+POOL_VERSION = 3
 
 #: Static header: magic, version, pool_size, log_base, log_size,
 #: data_base, data_size  (7 x u64), then crc (u32).
@@ -55,7 +58,7 @@ ROOT_KIND_OFFSET = 5 * CACHE_LINE_SIZE
 #: line write can never damage both.
 EPOCH_SLOT_OFFSETS = (2 * CACHE_LINE_SIZE, 6 * CACHE_LINE_SIZE)
 
-#: One epoch-record slot: epoch (u64) then crc32c over the epoch bytes.
+#: One epoch-record slot: epoch (u64) then CRC-32 over the epoch bytes.
 _EPOCH_SLOT = struct.Struct("<QI")
 EPOCH_SLOT_SIZE = _EPOCH_SLOT.size
 
@@ -70,7 +73,7 @@ _U64 = struct.Struct("<Q")
 def encode_epoch_record(epoch):
     """Serialize one epoch-record slot (fault tests tear these bytes)."""
     body = _U64.pack(epoch)
-    return body + struct.pack("<I", crc32c(body))
+    return body + struct.pack("<I", crc32(body))
 
 
 def decode_epoch_record(blob):
@@ -78,7 +81,7 @@ def decode_epoch_record(blob):
     if len(blob) < _EPOCH_SLOT.size:
         return None
     epoch, stored_crc = _EPOCH_SLOT.unpack_from(blob, 0)
-    if stored_crc != crc32c(blob[:_U64.size]):
+    if stored_crc != crc32(blob[:_U64.size]):
         return None
     return epoch
 
@@ -111,7 +114,7 @@ class Pool:
         header = _HEADER.pack(POOL_MAGIC, POOL_VERSION, device.size,
                               log_base, log_size, data_base, data_size)
         device.write(0, header)
-        device.write(_HEADER_CRC_OFFSET, struct.pack("<I", crc32c(header)))
+        device.write(_HEADER_CRC_OFFSET, struct.pack("<I", crc32(header)))
         # Both epoch slots start valid at epoch 0: a torn first commit
         # must still leave one readable slot.
         record = encode_epoch_record(0)
@@ -137,7 +140,7 @@ class Pool:
             raise PoolError("unsupported pool version %d" % version)
         (stored_crc,) = struct.unpack(
             "<I", device.read(_HEADER_CRC_OFFSET, 4))
-        if stored_crc != crc32c(header):
+        if stored_crc != crc32(header):
             raise PoolError("pool header checksum mismatch on %s" % device.name)
         if pool_size != device.size:
             raise PoolError(

@@ -1,4 +1,4 @@
-"""Shared low-level utilities: constants, bit math, checksums, statistics."""
+"""Shared low-level utilities: constants, bit math, statistics."""
 
 from repro.util.bitops import (
     align_down,
@@ -12,7 +12,6 @@ from repro.util.bitops import (
     split_lines,
     split_pages,
 )
-from repro.util.checksum import crc32c, verify
 from repro.util.constants import (
     CACHE_LINE_SIZE,
     LINES_PER_PAGE,
@@ -38,7 +37,6 @@ __all__ = [
     "StatGroup",
     "align_down",
     "align_up",
-    "crc32c",
     "is_aligned",
     "is_power_of_two",
     "line_base",
@@ -49,5 +47,4 @@ __all__ = [
     "ratio",
     "split_lines",
     "split_pages",
-    "verify",
 ]

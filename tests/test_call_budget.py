@@ -12,8 +12,8 @@ expression code objects (Python 3.12 inlines comprehensions, so
 excluding them keeps 3.11, 3.12 and 3.13 in agreement). Generator
 resumptions count as calls, as the profiler reports them.
 
-Four counts, each measured in a fresh interpreter so the encoder memo
-and the trace cache start empty:
+Four counts, each measured in a fresh interpreter so the trace cache
+starts empty:
 
 * building a pax and a pmdk sweep-cell backend at the paxbench grid
   geometry (64/256 KiB 16-way LLC, 64 HBM lines, a victim buffer on
@@ -62,7 +62,7 @@ TRACE = {"workload": "mixed", "ops": 64, "records": 96, "seed": 1}
 #: Calls counted when this budget was set; a count may exceed its
 #: budget by at most :data:`SLACK`.
 BUDGET = {
-    "build_pax": 48720,
+    "build_pax": 48711,
     "build_pmdk": 25191,
     "replay_pax": 12087,
     "replay_pmdk": 25411,

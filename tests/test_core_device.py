@@ -255,6 +255,29 @@ class TestIdleDevice:
         assert len(pax.writeback) == 0
         assert clock.busy == 0
 
+    def test_a_record_made_outside_a_message_wakes_it(self, ticking):
+        # Work handed straight to the logger, not through handle_message,
+        # must still drain: the logger counts the device back in.
+        pax, clock = ticking
+        clock.advance(1)
+        assert clock.busy == 0
+        pax.undo.note_modification(pax.to_pool(VPM_BASE), bytes(64))
+        clock.advance(1_000_000)
+        assert pax.undo.pending_count == 0
+        assert pax.undo.durable_seq == 1
+        assert clock.busy == 0
+
+    def test_a_line_buffered_outside_a_message_wakes_it(self, ticking):
+        pax, clock = ticking
+        clock.advance(1)
+        assert clock.busy == 0
+        pool_addr = pax.to_pool(VPM_BASE)
+        pax.writeback.buffer_line(pool_addr, b"\x42" * 64, 0)  # seq 0: durable
+        clock.advance(1_000_000)
+        assert len(pax.writeback) == 0
+        assert pax.pool.device.read(pool_addr, 64) == b"\x42" * 64
+        assert clock.busy == 0
+
     def test_work_free_messages_leave_it_idle(self, ticking):
         pax, clock = ticking
         pax.handle_message(msg.RdOwn(VPM_BASE, need_data=False))

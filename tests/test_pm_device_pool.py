@@ -1,6 +1,7 @@
 """PM device durability and the pool file format."""
 
 import os
+import struct
 
 import pytest
 
@@ -95,6 +96,15 @@ class TestPoolFormat:
         Pool.format(device, log_size=96 * 1024)
         device.write(8, b"\xff")     # corrupt the version field
         with pytest.raises(PoolError):
+            Pool.open(device)
+
+    def test_older_version_refused_by_version(self):
+        # A version-2 pool sealed its header with CRC-32C: it must be
+        # refused for its version, not misreported as corrupt.
+        device = PmDevice("pm", 1 << 20)
+        Pool.format(device, log_size=96 * 1024)
+        device.write(8, struct.pack("<Q", 2))
+        with pytest.raises(PoolError, match="unsupported pool version 2"):
             Pool.open(device)
 
     def test_size_mismatch_detected(self):

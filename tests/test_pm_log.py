@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import LogError
-from repro.pm import log as pm_log
 from repro.pm.device import PmDevice
 from repro.pm.log import (
     ENTRY_SIZE,
@@ -12,7 +11,6 @@ from repro.pm.log import (
     decode_entry,
     encode_entry,
 )
-from repro.sim.rng import DeterministicRng
 
 
 def region(entries=16):
@@ -50,7 +48,6 @@ class TestEncoding:
     @pytest.mark.parametrize("epoch, addr", [
         (-1, 0x40), (1 << 64, 0x40), (1, -64), (1, 1 << 64), (1.0, 0x40)])
     def test_fields_outside_u64_rejected(self, epoch, addr):
-        encode_entry(1, 0x40, b"x")     # a warm memo must not skip checks
         with pytest.raises(LogError, match="u64"):
             encode_entry(epoch, addr, b"x")
 
@@ -71,42 +68,6 @@ class TestEncoding:
         assert entry is not None
         assert entry.epoch == epoch
         assert entry.data == payload
-
-
-def _random_entries(seed, count):
-    """Seeded entries drawn from small pools of each field, so that many
-    share two fields and differ in the third (one line logged again in a
-    later epoch, or with a payload that differs only in length)."""
-    rng = DeterministicRng(seed)
-    epochs = [0, (1 << 64) - 1] + [rng.randint(1, 1 << 40) for _ in range(4)]
-    addrs = [0, (1 << 64) - 64] + [rng.randint(0, 1 << 30) * 64
-                                   for _ in range(4)]
-    payloads = [b"a", b"a\x00", bytes(64)] + [rng.bytes(rng.randint(1, 64))
-                                              for _ in range(5)]
-    return [(rng.choice(epochs), rng.choice(addrs), rng.choice(payloads))
-            for _ in range(count)]
-
-
-class TestMemo:
-    @pytest.fixture(autouse=True)
-    def empty_memo(self, monkeypatch):
-        monkeypatch.setattr(pm_log, "_ENCODED", {})
-
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_matches_unmemoized_encoder(self, seed):
-        entries = _random_entries(seed, 200)
-        expected = [pm_log._pack_entry(*entry) for entry in entries]
-        cold = [encode_entry(*entry) for entry in entries]
-        warm = [encode_entry(*entry) for entry in entries]
-        assert cold == expected
-        assert warm == expected
-        assert len(pm_log._ENCODED) == len(set(entries))
-
-    def test_never_exceeds_its_cap(self, monkeypatch):
-        monkeypatch.setattr(pm_log, "ENCODE_MEMO_CAP", 8)
-        for epoch, addr, data in _random_entries(4, 200):
-            assert decode_entry(encode_entry(epoch, addr, data)).data == data
-            assert 1 <= len(pm_log._ENCODED) <= 8
 
 
 class TestRegion:

@@ -13,7 +13,6 @@ import pytest
 from repro.baselines.pax import backend_classes
 from repro.errors import TraceError, TraceUnsupportedError
 from repro.perfbench import BACKENDS, build_backend
-from repro.pm import log as pm_log
 from repro.replay import MARK_TIMED, record, replay_trace
 from repro.replay.equivalence import diff, fingerprint
 from repro.sim.rng import DeterministicRng
@@ -71,15 +70,13 @@ def test_generic_engine_matches_per_access(monkeypatch, name):
     assert result.sim_ns == golden.machine.clock.now_ns
 
 
-def test_replay_is_repeatable(monkeypatch):
-    # The second replay of one Trace object finds every log entry in the
-    # encoder memo; the first starts with it empty. Both must match the
-    # recording. pax writes undo-log entries and pmdk WAL entries through
-    # that memo; redo's WAL appends skip the fence, which callers pass by
-    # keyword and the recorded event holds positionally.
+def test_replay_is_repeatable():
+    # Two replays of one Trace object must both match the recording.
+    # pax writes undo-log entries and pmdk WAL entries; redo's WAL
+    # appends skip the fence, which callers pass by keyword and the
+    # recorded event holds positionally.
     for name in ("pax", "pmdk", "redo"):
         golden, trace = _record_golden(name)
-        monkeypatch.setattr(pm_log, "_ENCODED", {})
         a, b = build_backend(name), build_backend(name)
         replay_trace(trace, a)
         replay_trace(trace, b)

@@ -8,7 +8,6 @@ import pytest
 
 import repro.perfbench as perfbench
 from repro.errors import ConfigError
-from repro.pm import log as pm_log
 from repro.sweep import (build_cell_backend, expand_grid, load_spec,
                          run_sweep, variant_id)
 from repro.sweep.report import to_markdown, write_report
@@ -212,10 +211,9 @@ class TestRunSweep:
         assert all(cell["verified"] for cell in report["cells"])
 
     def test_report_is_deterministic(self, tmp_path, monkeypatch):
-        # The first run starts with no recorded traces and an empty log
-        # encoder memo; the second finds both warm. Neither may show.
+        # The first run starts with no recorded traces; the second finds
+        # them cached. That must not show.
         monkeypatch.setattr(perfbench, "_TRACE_CACHE", {})
-        monkeypatch.setattr(pm_log, "_ENCODED", {})
         _spec, first = self.run_tiny(tmp_path, backends=["pax", "pmdk"])
         _spec, again = self.run_tiny(tmp_path, backends=["pax", "pmdk"])
         assert first == again
